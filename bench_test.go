@@ -291,32 +291,15 @@ func BenchmarkViterbiDecode(b *testing.B) {
 	}
 }
 
-// --- dataflow orderings vs level-barrier reference (§2.3 executor) ---
+// --- dataflow vs level-barrier oracle (§2.3 executor) ---
 //
 // BenchmarkScheduler* run the same synthetic stress DAG under the
-// critical-path dataflow scheduler, the min-ID dataflow ordering and the
-// level-barrier reference at the same worker count; the reproduction
-// targets are the dataflow win over the barrier (≥25% on the
-// straggler-level shape) and the critical-path win over min-ID on the
-// ordering-adversarial fanout-chain shape, always with byte-identical
+// dataflow scheduler and the level-barrier oracle at the same worker
+// count; the reproduction target is the dataflow win over the barrier
+// (≥25% on the straggler-level shape), always with byte-identical
 // Result.Values. Most shapes sleep rather than spin, so wall-ms is the
 // honest metric (ns/op tracks it); cpu-fanout spins to expose scheduler
 // overhead under real core contention.
-
-// schedVariant names one (strategy, ordering) configuration.
-type schedVariant struct {
-	name  string
-	sched exec.Strategy
-	order exec.Ordering
-}
-
-func schedVariants() []schedVariant {
-	return []schedVariant{
-		{"dataflow-cp", exec.Dataflow, exec.CriticalPath},
-		{"dataflow-minid", exec.Dataflow, exec.MinID},
-		{"level-barrier", exec.LevelBarrier, exec.CriticalPath},
-	}
-}
 
 func assertSchedulersAgree(b *testing.B, sd *bench.SchedDAG, workers int) {
 	b.Helper()
@@ -324,14 +307,12 @@ func assertSchedulersAgree(b *testing.B, sd *bench.SchedDAG, workers int) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	for _, order := range []exec.Ordering{exec.CriticalPath, exec.MinID} {
-		df, err := bench.RunSchedOrdered(sd, exec.Dataflow, order, workers, false)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := bench.SchedValuesEqual(df, lb); err != nil {
-			b.Fatal(err)
-		}
+	df, err := bench.RunSched(sd, exec.Dataflow, workers)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := bench.SchedValuesEqual(df, lb); err != nil {
+		b.Fatal(err)
 	}
 }
 
@@ -349,11 +330,11 @@ func schedShape(b *testing.B, name string) *bench.SchedDAG {
 func benchSched(b *testing.B, sd *bench.SchedDAG, workers int) {
 	b.Helper()
 	assertSchedulersAgree(b, sd, workers)
-	for _, v := range schedVariants() {
-		b.Run(v.name, func(b *testing.B) {
+	for _, sched := range []exec.Strategy{exec.Dataflow, exec.LevelBarrier} {
+		b.Run(sched.String(), func(b *testing.B) {
 			var wall time.Duration
 			for i := 0; i < b.N; i++ {
-				res, err := bench.RunSchedOrdered(sd, v.sched, v.order, workers, false)
+				res, err := bench.RunSched(sd, sched, workers)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -389,30 +370,28 @@ func BenchmarkSchedulerStragglerChain(b *testing.B) {
 }
 
 // BenchmarkSchedulerFanoutChain is the ordering-adversarial shape: many
-// cheap low-ID branches beside one high-ID chain. Critical-path dispatch
-// starts the chain immediately; min-ID buries it behind the branches.
+// cheap low-ID branches beside one high-ID chain, which critical-path
+// dispatch starts immediately.
 func BenchmarkSchedulerFanoutChain(b *testing.B) {
 	benchSched(b, schedShape(b, "fanout-chain"), 4)
 }
 
 // BenchmarkSchedulerCPUFanout is the same topology with spin-loop
-// (CPU-bound) tasks: scheduler overhead under real core contention. The
-// ordering gap additionally needs spare cores.
+// (CPU-bound) tasks: scheduler overhead under real core contention.
 func BenchmarkSchedulerCPUFanout(b *testing.B) {
 	benchSched(b, schedShape(b, "cpu-fanout"), 4)
 }
 
-// BenchmarkSchedulerContention is the dispatch-mode head-to-head on the
-// contention-adversarial shape: 4098 fine-grained nodes (128 chains × 32
-// links plus root and join) where every completion is a dispatch event, at
-// 8 workers. Every global-heap transition pays the one shared mutex plus
-// heap churn; work-stealing chases each chain on the finishing worker with
-// no shared lock at all. GOMAXPROCS is clamped to [2, workers]: a
-// contention benchmark needs at least two OS threads actually contending
-// (single-core runners would otherwise serialize the lock traffic away),
-// and more cores only grow the global heap's convoy. The reproduction
-// target is work-stealing ≥20% below the global-heap wall; min-wall-ms is
-// the noise-robust statistic to compare (mean wall absorbs host
+// BenchmarkSchedulerContention is the scheduler-overhead row: the
+// contention-adversarial shape — 4098 fine-grained nodes (128 chains × 32
+// links plus root and join) where every completion is a dispatch event —
+// at 8 workers, reported as work-stealing dispatch cost in ns/node. Tasks
+// do no work, so the wall is scheduler overhead; work-stealing chases each
+// chain on the finishing worker with no shared lock at all. GOMAXPROCS is
+// clamped to [2, workers]: a contention benchmark needs at least two OS
+// threads actually contending (single-core runners would otherwise
+// serialize the lock traffic away). min-wall-ms is the noise-robust
+// statistic to compare across commits (mean wall absorbs host
 // interference spikes).
 func BenchmarkSchedulerContention(b *testing.B) {
 	sd := bench.ContentionDAG(128, 32)
@@ -426,29 +405,25 @@ func BenchmarkSchedulerContention(b *testing.B) {
 	}
 	prev := runtime.GOMAXPROCS(gmp)
 	defer runtime.GOMAXPROCS(prev)
-	for _, mode := range []exec.DispatchMode{exec.WorkSteal, exec.GlobalHeap} {
-		b.Run(mode.String(), func(b *testing.B) {
-			var wall time.Duration
-			minWall := time.Duration(1<<62 - 1)
-			var steals, handoffs int64
-			for i := 0; i < b.N; i++ {
-				res, err := bench.RunSchedDispatch(sd, exec.Dataflow, exec.CriticalPath, mode, workers, false)
-				if err != nil {
-					b.Fatal(err)
-				}
-				wall += res.Wall
-				if res.Wall < minWall {
-					minWall = res.Wall
-				}
-				steals += res.Steals
-				handoffs += res.Handoffs
-			}
-			b.ReportMetric(float64(wall.Microseconds())/float64(b.N)/1000, "wall-ms")
-			b.ReportMetric(float64(minWall.Microseconds())/1000, "min-wall-ms")
-			b.ReportMetric(float64(steals)/float64(b.N), "steals")
-			b.ReportMetric(float64(handoffs)/float64(b.N), "handoffs")
-		})
+	var wall time.Duration
+	minWall := time.Duration(1<<62 - 1)
+	var steals, handoffs int64
+	for i := 0; i < b.N; i++ {
+		res, err := bench.RunSched(sd, exec.Dataflow, workers)
+		if err != nil {
+			b.Fatal(err)
+		}
+		wall += res.Wall
+		if res.Wall < minWall {
+			minWall = res.Wall
+		}
+		steals += res.Steals
+		handoffs += res.Handoffs
 	}
+	b.ReportMetric(float64(wall.Nanoseconds())/float64(b.N)/float64(sd.G.Len()), "ns/node")
+	b.ReportMetric(float64(minWall.Microseconds())/1000, "min-wall-ms")
+	b.ReportMetric(float64(steals)/float64(b.N), "steals")
+	b.ReportMetric(float64(handoffs)/float64(b.N), "handoffs")
 }
 
 // BenchmarkSchedulerLiar is the online re-prioritization head-to-head on
@@ -456,14 +431,10 @@ func BenchmarkSchedulerContention(b *testing.B) {
 // decoy arm expensive and the true long-pole spin chain cheap, so static
 // critical-path dispatch buries the chain and pays it as a serial tail,
 // while adaptive re-weighting corrects the decoy group's costs off the
-// first measured completions and starts the chain within ~2ms. Runs under
-// global-heap dispatch — a single strictly priority-ordered queue, so the
-// dispatch order is exactly what the weights say and the comparison
-// isolates re-weighting (work-stealing's steal-half strands cheap-looking
-// nodes onto deques whose owners run them early, accidentally hiding most
-// of the lie's damage; `helix-bench -ablation reweight` reports both
-// dispatchers). The reproduction target is adaptive ≥20% below the static
-// min-wall at 8 workers (≈37% measured), with byte-identical values. A
+// first measured completions and starts the chain within ~2ms. The
+// reproduction target is adaptive ≥20% below the static min-wall at 8
+// workers (27.4ms vs 35.1ms measured on a 2-core host), with
+// byte-identical values. A
 // fresh lying history per run: the engine writes the measured truth back,
 // so a reused history stops lying after one execution.
 func BenchmarkSchedulerLiar(b *testing.B) {
@@ -475,7 +446,7 @@ func BenchmarkSchedulerLiar(b *testing.B) {
 			var reweights int64
 			for n := 0; n < b.N; n++ {
 				sd := bench.DefaultLiarDAG()
-				_, res, err := bench.MeasureReweight(sd, bench.DefaultLiarHistory(sd), mode, exec.GlobalHeap, 8)
+				_, res, err := bench.MeasureReweight(sd, bench.DefaultLiarHistory(sd), mode, 8)
 				if err != nil {
 					b.Fatal(err)
 				}

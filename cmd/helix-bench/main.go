@@ -31,35 +31,25 @@
 //	helix-bench -fig 2b -budget 65536 -spill -1 # tiered store on figure runs
 //	helix-bench -fig 2b -codec gob              # A/B the reflective gob codec
 //	helix-bench -fig 2b -spill -1 -mmap         # zero-copy mmap cold reads
-//	helix-bench -fig 2b -sched level-barrier    # A/B the old executor
-//	helix-bench -fig 2b -sched dataflow-minid   # A/B the old ready-queue order
-//	helix-bench -fig 2b -dispatch global-heap   # A/B the old dispatch loop
-//	helix-bench -fig 2b -reweight off           # A/B online re-prioritization
 //	helix-bench -fig 2b -release=false          # A/B memory-bounded execution
 //
-// Scheduler orderings and memory-bounded execution: -sched selects both
-// the strategy and, for dataflow, the ready-queue priority — "dataflow"
-// (cost-aware critical-path-first dispatch, the default), "dataflow-minid"
-// (the original smallest-ID dispatch) or "level-barrier" (the wave
-// executor). -dispatch selects the dataflow dispatch mode: "worksteal"
-// (per-worker deques, the default) or "global-heap" (the previous single
-// shared ready heap, kept as the contention baseline). -release (default
-// true) lets the engine drop a non-output intermediate from memory the
-// moment its last consumer has run; figure runs print the session's peak
-// live-byte estimate so the memory effect is visible next to the
-// wall-clock numbers. "-ablation scheduler" runs every stress shape under
-// all three schedulers, checks value equality, and reports the wall-time
-// reduction of each dataflow ordering over the level-barrier reference.
-// "-ablation dispatch" is the 2-way work-stealing vs global-heap
-// head-to-head over the same shapes (value-checked, with steal/handoff
-// counts and peak live bytes); -json writes its measurements as
-// machine-readable JSON (the committed BENCH_baseline.json and the per-CI-
-// run artifact the benchdiff gate compares against it). "-reweight"
-// (default adaptive) selects online re-prioritization of the remaining
-// DAG from measured durations; "-ablation reweight" measures it on the
-// deceptive-estimate LiarDAG shape — a lying history buries the true
-// long-pole chain behind claimed-expensive decoys — under both dispatch
-// modes, min-of-3, value-checked across all four configurations.
+// Figure runs always use the work-stealing dataflow scheduler with
+// critical-path weights and adaptive re-weighting (see docs/scheduler.md).
+// -release (default true) lets the engine drop a non-output intermediate
+// from memory the moment its last consumer has run; figure runs print the
+// session's peak live-byte estimate so the memory effect is visible next
+// to the wall-clock numbers. "-ablation scheduler" runs every stress shape
+// under the dataflow scheduler and the level-barrier oracle, checks value
+// equality, and reports the dataflow wall-time reduction. "-ablation
+// dispatch" measures the dataflow scheduler over the same shapes
+// (best-of-3, value-checked against a level-barrier reference run, with
+// steal/handoff counts and peak live bytes); -json writes its measurements
+// as machine-readable JSON (the committed BENCH_baseline.json and the
+// per-CI-run artifact the benchdiff gate compares against it). "-ablation
+// reweight" measures online re-prioritization on the deceptive-estimate
+// LiarDAG shape — a lying history buries the true long-pole chain behind
+// claimed-expensive decoys — adaptive vs static weights, min-of-3,
+// value-checked across both.
 // "-spill" attaches a cold second-tier store to figure runs (see
 // docs/store.md); "-ablation spill" drives the spill-pressure shape
 // through two iterations under an unbudgeted reference, a rejecting hot
@@ -107,9 +97,6 @@ func main() {
 	budget := flag.Int64("budget", 0, "storage budget in bytes (0 = unlimited)")
 	spill := flag.Int64("spill", 0, "cold spill-tier budget in bytes (0 = tiering off, <0 = unbudgeted spill tier)")
 	workers := flag.Int("workers", 4, "executor worker pool size")
-	schedName := flag.String("sched", "dataflow", "scheduling strategy for figure runs: dataflow (critical-path order), dataflow-minid, or level-barrier")
-	dispatchName := flag.String("dispatch", "worksteal", "dataflow dispatch mode for figure runs: worksteal or global-heap")
-	reweightName := flag.String("reweight", "adaptive", "online re-prioritization for figure runs: adaptive or off")
 	release := flag.Bool("release", true, "release consumed intermediates during execution (memory-bounded sessions)")
 	codecName := flag.String("codec", "binary", "value codec for figure runs: binary (reflection-free) or gob (reflective A/B reference)")
 	mmap := flag.Bool("mmap", false, "serve cold-tier reads zero-copy via mmap (figure runs; requires -spill)")
@@ -118,18 +105,6 @@ func main() {
 	seed := flag.Int64("seed", 2018, "dataset seed")
 	flag.Parse()
 
-	sched, order, err := parseSched(*schedName)
-	if err != nil {
-		fatal(err)
-	}
-	dispatch, err := parseDispatch(*dispatchName)
-	if err != nil {
-		fatal(err)
-	}
-	reweight, err := parseReweight(*reweightName)
-	if err != nil {
-		fatal(err)
-	}
 	codec, err := store.ParseCodec(*codecName)
 	if err != nil {
 		fatal(err)
@@ -144,10 +119,6 @@ func main() {
 	tweak := func(o *core.Options) {
 		o.BudgetBytes = *budget
 		o.Workers = *workers
-		o.Sched = sched
-		o.Order = order
-		o.Dispatch = dispatch
-		o.Reweight = reweight
 		o.KeepIntermediates = !*release
 		o.Codec = codec
 		o.MmapCold = *mmap
@@ -214,41 +185,6 @@ func main() {
 		}
 	default:
 		fatal(fmt.Errorf("unknown ablation %q", *ablation))
-	}
-}
-
-func parseSched(name string) (exec.Strategy, exec.Ordering, error) {
-	switch name {
-	case "dataflow", "":
-		return exec.Dataflow, exec.CriticalPath, nil
-	case "dataflow-minid":
-		return exec.Dataflow, exec.MinID, nil
-	case "level-barrier":
-		return exec.LevelBarrier, exec.CriticalPath, nil
-	default:
-		return 0, 0, fmt.Errorf("unknown scheduler %q (want dataflow, dataflow-minid or level-barrier)", name)
-	}
-}
-
-func parseDispatch(name string) (exec.DispatchMode, error) {
-	switch name {
-	case "worksteal", "":
-		return exec.WorkSteal, nil
-	case "global-heap":
-		return exec.GlobalHeap, nil
-	default:
-		return 0, fmt.Errorf("unknown dispatch mode %q (want worksteal or global-heap)", name)
-	}
-}
-
-func parseReweight(name string) (exec.Reweight, error) {
-	switch name {
-	case "adaptive", "":
-		return exec.Adaptive, nil
-	case "off":
-		return exec.ReweightOff, nil
-	default:
-		return 0, fmt.Errorf("unknown reweight mode %q (want adaptive or off)", name)
 	}
 }
 
@@ -415,20 +351,14 @@ func runMatPolicy(rows int, workers int, seed int64) error {
 
 // runScheduler is the scheduler head-to-head on the synthetic stress
 // shapes (the same ones BenchmarkScheduler* measure): each shape runs
-// under critical-path dataflow, min-ID dataflow and the level-barrier
-// reference at the same worker count, values are checked for equality
-// across all three, and the wall-time reduction of each dataflow ordering
-// over the barrier is reported.
+// under the dataflow scheduler and the level-barrier oracle at the same
+// worker count, values are checked for equality, and the dataflow
+// wall-time reduction over the barrier is reported.
 func runScheduler(workers int) error {
-	fmt.Printf("=== ablation: dataflow orderings vs level-barrier reference (%d workers) ===\n", workers)
-	fmt.Printf("%-16s %6s %12s %12s %14s %9s %9s\n",
-		"shape", "nodes", "crit-path", "min-id", "level-barrier", "cp-red", "minid-red")
+	fmt.Printf("=== ablation: dataflow vs level-barrier oracle (%d workers) ===\n", workers)
+	fmt.Printf("%-16s %6s %12s %14s %8s\n", "shape", "nodes", "dataflow", "level-barrier", "red")
 	for _, sd := range bench.DefaultShapes() {
-		cp, err := bench.RunSchedOrdered(sd, exec.Dataflow, exec.CriticalPath, workers, false)
-		if err != nil {
-			return err
-		}
-		mi, err := bench.RunSchedOrdered(sd, exec.Dataflow, exec.MinID, workers, false)
+		df, err := bench.RunSched(sd, exec.Dataflow, workers)
 		if err != nil {
 			return err
 		}
@@ -436,18 +366,14 @@ func runScheduler(workers int) error {
 		if err != nil {
 			return err
 		}
-		for _, df := range []*exec.Result{cp, mi} {
-			if err := bench.SchedValuesEqual(df, lb); err != nil {
-				return fmt.Errorf("scheduler ablation: %s: %w", sd.Name, err)
-			}
+		if err := bench.SchedValuesEqual(df, lb); err != nil {
+			return fmt.Errorf("scheduler ablation: %s: %w", sd.Name, err)
 		}
-		fmt.Printf("%-16s %6d %10.2fms %10.2fms %12.2fms %8.0f%% %8.0f%%\n",
+		fmt.Printf("%-16s %6d %10.2fms %12.2fms %7.0f%%\n",
 			sd.Name, sd.G.Len(),
-			float64(cp.Wall.Microseconds())/1000,
-			float64(mi.Wall.Microseconds())/1000,
+			float64(df.Wall.Microseconds())/1000,
 			float64(lb.Wall.Microseconds())/1000,
-			(1-float64(cp.Wall)/float64(lb.Wall))*100,
-			(1-float64(mi.Wall)/float64(lb.Wall))*100)
+			(1-float64(df.Wall)/float64(lb.Wall))*100)
 	}
 	fmt.Println()
 	return nil
@@ -455,51 +381,42 @@ func runScheduler(workers int) error {
 
 // runReweight is the online re-prioritization ablation: the deceptive-
 // estimate LiarDAG shape (a lying history claims the decoys expensive and
-// the true long-pole chain cheap) executed under adaptive vs static
-// (off) re-weighting, for both dispatch modes, min-of-3 per configuration
-// with a fresh lying history per run. Values are checked byte-identical
-// across all four configurations. The headline number is the global-heap
-// reduction: a single strictly priority-ordered queue isolates the
-// re-weighting effect, while work-stealing's steal-half strands globally
-// cheap-looking nodes on deques whose owners run them early, accidentally
-// masking most of the damage a lying estimate can do (see
+// the true long-pole chain cheap) executed under adaptive vs static (off)
+// re-weighting, min-of-3 per mode with a fresh lying history per run.
+// Values are checked byte-identical across both modes (see
 // bench.MeasureReweight).
 func runReweight(workers int) error {
 	fmt.Printf("=== ablation: adaptive re-prioritization vs static critical-path (LiarDAG, %d workers) ===\n", workers)
-	fmt.Printf("%-12s %6s %12s %12s %8s %10s\n",
-		"dispatch", "nodes", "adaptive", "off", "red", "reweights")
+	fmt.Printf("%6s %12s %12s %8s %10s\n", "nodes", "adaptive", "off", "red", "reweights")
 	const reps = 3
 	var ref *exec.Result
-	for _, dispatch := range []exec.DispatchMode{exec.GlobalHeap, exec.WorkSteal} {
-		walls := make(map[exec.Reweight]bench.ReweightMeasurement)
-		for _, mode := range []exec.Reweight{exec.Adaptive, exec.ReweightOff} {
-			var best bench.ReweightMeasurement
-			var bestRes *exec.Result
-			for i := 0; i < reps; i++ {
-				sd := bench.DefaultLiarDAG()
-				m, res, err := bench.MeasureReweight(sd, bench.DefaultLiarHistory(sd), mode, dispatch, workers)
-				if err != nil {
-					return err
-				}
-				if bestRes == nil || m.WallMS < best.WallMS {
-					best, bestRes = m, res
-				}
+	walls := make(map[exec.Reweight]bench.ReweightMeasurement)
+	for _, mode := range []exec.Reweight{exec.Adaptive, exec.ReweightOff} {
+		var best bench.ReweightMeasurement
+		var bestRes *exec.Result
+		for i := 0; i < reps; i++ {
+			sd := bench.DefaultLiarDAG()
+			m, res, err := bench.MeasureReweight(sd, bench.DefaultLiarHistory(sd), mode, workers)
+			if err != nil {
+				return err
 			}
-			if ref == nil {
-				ref = bestRes
-			} else if err := bench.SchedValuesEqual(bestRes, ref); err != nil {
-				return fmt.Errorf("reweight ablation: %s/%s: %w", dispatch, mode, err)
+			if bestRes == nil || m.WallMS < best.WallMS {
+				best, bestRes = m, res
 			}
-			walls[mode] = best
 		}
-		ad, off := walls[exec.Adaptive], walls[exec.ReweightOff]
-		red := 0.0
-		if off.WallMS > 0 {
-			red = (1 - ad.WallMS/off.WallMS) * 100
+		if ref == nil {
+			ref = bestRes
+		} else if err := bench.SchedValuesEqual(bestRes, ref); err != nil {
+			return fmt.Errorf("reweight ablation: %s: %w", mode, err)
 		}
-		fmt.Printf("%-12s %6d %10.2fms %10.2fms %7.0f%% %10d\n",
-			dispatch, ad.Nodes, ad.WallMS, off.WallMS, red, ad.Reweights)
+		walls[mode] = best
 	}
+	ad, off := walls[exec.Adaptive], walls[exec.ReweightOff]
+	red := 0.0
+	if off.WallMS > 0 {
+		red = (1 - ad.WallMS/off.WallMS) * 100
+	}
+	fmt.Printf("%6d %10.2fms %10.2fms %7.0f%% %10d\n", ad.Nodes, ad.WallMS, off.WallMS, red, ad.Reweights)
 	fmt.Println()
 	return nil
 }
@@ -740,26 +657,27 @@ func runCodec(workers int) error {
 	return nil
 }
 
-// runDispatch is the 2-way dispatch ablation: every stress shape executed
-// under work-stealing and global-heap dispatch at the same worker count,
-// value-checked against each other, with wall time, steal/handoff counts
-// and peak live bytes reported — and written as JSON when jsonPath is set
-// (the CI artifact BENCH_3.json). With faults set, every run is wrapped in
-// a seeded recoverable fault schedule (the chaos smoke): walls then include
-// retry/backoff cost, and the retry counters land in the report.
+// runDispatch is the dispatch ablation: every stress shape executed under
+// the work-stealing dataflow scheduler, best-of-3, value-checked against a
+// level-barrier reference run, with wall time, steal/handoff counts and
+// peak live bytes reported — and written as JSON when jsonPath is set (the
+// CI artifact BENCH_3.json). With faults set, every measured run is
+// wrapped in a seeded recoverable fault schedule (the chaos smoke): walls
+// then include retry/backoff cost, the retry counters land in the report,
+// and the clean reference still pins the values.
 func runDispatch(workers int, jsonPath string, faults bool, seed int64) error {
 	mode := ""
 	if faults {
 		mode = ", seeded faults"
 	}
-	fmt.Printf("=== ablation: work-stealing vs global-heap dispatch (%d workers%s) ===\n", workers, mode)
-	fmt.Printf("%-16s %6s %12s %12s %8s %8s %9s %12s %8s\n",
-		"shape", "nodes", "worksteal", "global-heap", "red", "steals", "handoffs", "peak-bytes", "retries")
+	fmt.Printf("=== ablation: work-stealing dispatch, level-barrier value reference (%d workers%s) ===\n", workers, mode)
+	fmt.Printf("%-16s %6s %12s %8s %9s %12s %8s\n",
+		"shape", "nodes", "worksteal", "steals", "handoffs", "peak-bytes", "retries")
 	report := bench.DispatchReport{Schema: exec.ReportSchemaVersion, Workers: workers}
-	// Best of three per mode: single-shot walls on ms-scale shapes are at
-	// the mercy of host noise; the minimum is the honest dispatch cost.
+	// Best of three: single-shot walls on ms-scale shapes are at the mercy
+	// of host noise; the minimum is the honest dispatch cost.
 	const reps = 3
-	measure := func(sd *bench.SchedDAG, mode exec.DispatchMode) (bench.DispatchMeasurement, *exec.Result, error) {
+	measure := func(sd *bench.SchedDAG) (bench.DispatchMeasurement, *exec.Result, error) {
 		var best bench.DispatchMeasurement
 		var bestRes *exec.Result
 		for i := 0; i < reps; i++ {
@@ -767,9 +685,9 @@ func runDispatch(workers int, jsonPath string, faults bool, seed int64) error {
 			var res *exec.Result
 			var err error
 			if faults {
-				m, res, err = bench.MeasureDispatchFaults(sd, mode, workers, bench.DefaultFaultPlan(seed+int64(i)))
+				m, res, err = bench.MeasureDispatchFaults(sd, workers, bench.DefaultFaultPlan(seed+int64(i)))
 			} else {
-				m, res, err = bench.MeasureDispatch(sd, mode, workers)
+				m, res, err = bench.MeasureDispatch(sd, workers)
 			}
 			if err != nil {
 				return best, nil, err
@@ -781,35 +699,27 @@ func runDispatch(workers int, jsonPath string, faults bool, seed int64) error {
 		return best, bestRes, nil
 	}
 	for _, sd := range bench.DefaultShapes() {
-		wsm, ws, err := measure(sd, exec.WorkSteal)
+		wsm, ws, err := measure(sd)
 		if err != nil {
 			return err
 		}
-		ghm, gh, err := measure(sd, exec.GlobalHeap)
+		ref, err := bench.RunSched(sd, exec.LevelBarrier, workers)
 		if err != nil {
 			return err
 		}
-		// The measured runs are the checked runs (release is on, so this
+		// The measured run is the checked run (release is on, so this
 		// compares the surviving output values byte-for-byte; full-value
-		// equivalence across dispatch modes is the randomized harness's job).
-		if err := bench.SchedValuesEqual(ws, gh); err != nil {
+		// equivalence is the randomized harness's job).
+		if err := bench.SchedOutputsEqual(sd.G, ws, ref); err != nil {
 			return fmt.Errorf("dispatch ablation: %s: %w", sd.Name, err)
 		}
-		red := 0.0
-		if ghm.WallMS > 0 {
-			red = (1 - wsm.WallMS/ghm.WallMS) * 100
-		}
-		report.Shapes = append(report.Shapes, bench.DispatchShapeEntry{
-			Shape: sd.Name, Nodes: sd.G.Len(),
-			WorkSteal: wsm, GlobalHeap: ghm, ReductionPct: red,
-		})
-		fmt.Printf("%-16s %6d %10.2fms %10.2fms %7.0f%% %8d %9d %12d %8d\n",
-			sd.Name, sd.G.Len(), wsm.WallMS, ghm.WallMS, red, wsm.Steals, wsm.Handoffs, wsm.PeakLiveBytes,
-			wsm.Retries+ghm.Retries)
+		report.Shapes = append(report.Shapes, bench.DispatchShapeEntry{Shape: sd.Name, Nodes: sd.G.Len(), WorkSteal: wsm})
+		fmt.Printf("%-16s %6d %10.2fms %8d %9d %12d %8d\n",
+			sd.Name, sd.G.Len(), wsm.WallMS, wsm.Steals, wsm.Handoffs, wsm.PeakLiveBytes, wsm.Retries)
 	}
 	// The serve-loadgen shape measures the multi-tenant daemon end-to-end
-	// (concurrent tenants, overlapping variants, one shared store) under
-	// both dispatch modes. It carries throughput/p99/CrossSessionHits in
+	// (concurrent tenants, overlapping variants, one shared store). It
+	// carries throughput/p99/CrossSessionHits in
 	// the same JSON document so the benchdiff gate covers the service
 	// path. Skipped in chaos mode: the daemon has no fault-plan hook, and
 	// mixing clean serve walls into a faulted report would skew the gate.
@@ -819,8 +729,8 @@ func runDispatch(workers int, jsonPath string, faults bool, seed int64) error {
 			return err
 		}
 		report.Shapes = append(report.Shapes, entry)
-		fmt.Printf("%-16s %6d %10.2fms %10.2fms %7.0f%%  throughput=%.1f rps  p99=%.2fms  cross-session hits=%d\n",
-			entry.Shape, entry.Nodes, entry.WorkSteal.WallMS, entry.GlobalHeap.WallMS, entry.ReductionPct,
+		fmt.Printf("%-16s %6d %10.2fms  throughput=%.1f rps  p99=%.2fms  cross-session hits=%d\n",
+			entry.Shape, entry.Nodes, entry.WorkSteal.WallMS,
 			entry.WorkSteal.ThroughputRPS, entry.WorkSteal.P99MS, entry.WorkSteal.CrossSessionHits)
 	}
 	fmt.Println()
@@ -838,46 +748,29 @@ func runDispatch(workers int, jsonPath string, faults bool, seed int64) error {
 	return nil
 }
 
-// runServeLoad measures the serve daemon's load-generator shape under both
-// dispatch modes (fresh store per run so every measurement does the same
-// cold-start work) and folds it into the dispatch report. Unlike the
+// runServeLoad measures the serve daemon's load-generator shape (fresh
+// store per run so every measurement does the same cold-start work) and
+// folds it into the dispatch report. Unlike the
 // micro shapes this is an end-to-end macro-benchmark — HTTP, real store
 // I/O, concurrent clients — where the fast tail is not representative, so
 // it reports the median of 3 runs rather than the minimum: the median is
 // what a typical CI run reproduces, which is what a regression gate needs.
 func runServeLoad(workers int) (bench.DispatchShapeEntry, error) {
 	const reps = 3
-	measure := func(mode exec.DispatchMode) (bench.DispatchMeasurement, error) {
-		runs := make([]bench.DispatchMeasurement, 0, reps)
-		for i := 0; i < reps; i++ {
-			dir, cleanup, err := tempBase("serve")
-			if err != nil {
-				return bench.DispatchMeasurement{}, err
-			}
-			m, err := bench.MeasureServeLoad(dir, bench.ServeLoadOptions{Workers: workers, Dispatch: mode})
-			cleanup()
-			if err != nil {
-				return bench.DispatchMeasurement{}, err
-			}
-			runs = append(runs, m)
+	runs := make([]bench.DispatchMeasurement, 0, reps)
+	for i := 0; i < reps; i++ {
+		dir, cleanup, err := tempBase("serve")
+		if err != nil {
+			return bench.DispatchShapeEntry{}, err
 		}
-		sort.Slice(runs, func(i, j int) bool { return runs[i].WallMS < runs[j].WallMS })
-		return runs[len(runs)/2], nil
+		m, err := bench.MeasureServeLoad(dir, bench.ServeLoadOptions{Workers: workers})
+		cleanup()
+		if err != nil {
+			return bench.DispatchShapeEntry{}, err
+		}
+		runs = append(runs, m)
 	}
-	wsm, err := measure(exec.WorkSteal)
-	if err != nil {
-		return bench.DispatchShapeEntry{}, err
-	}
-	ghm, err := measure(exec.GlobalHeap)
-	if err != nil {
-		return bench.DispatchShapeEntry{}, err
-	}
-	red := 0.0
-	if ghm.WallMS > 0 {
-		red = (1 - wsm.WallMS/ghm.WallMS) * 100
-	}
-	return bench.DispatchShapeEntry{
-		Shape: wsm.Shape, Nodes: wsm.Nodes,
-		WorkSteal: wsm, GlobalHeap: ghm, ReductionPct: red,
-	}, nil
+	sort.Slice(runs, func(i, j int) bool { return runs[i].WallMS < runs[j].WallMS })
+	m := runs[len(runs)/2]
+	return bench.DispatchShapeEntry{Shape: m.Shape, Nodes: m.Nodes, WorkSteal: m}, nil
 }

@@ -1,8 +1,8 @@
 // Command helix-benchdiff is the CI perf-regression gate: it compares a
 // fresh dispatch-ablation run (`helix-bench -ablation dispatch -json ...`)
 // against the committed baseline (BENCH_baseline.json) and fails — exit
-// code 1 — if any shape's wall time regressed beyond the tolerance under
-// either dispatch mode.
+// code 1 — if any shape's work-stealing wall time regressed beyond the
+// tolerance.
 //
 // Both documents carry best-of-3 walls per shape (helix-bench takes the
 // minimum across repetitions), so a single noisy run on a shared CI host
@@ -96,7 +96,7 @@ func readReport(path string) (*bench.DispatchReport, error) {
 }
 
 // diff prints the per-shape comparison and reports whether any shape
-// regressed beyond tolerance percent under either dispatch mode.
+// regressed beyond tolerance percent.
 func diff(w *os.File, baseline, current *bench.DispatchReport, tolerance float64) bool {
 	curByShape := make(map[string]bench.DispatchShapeEntry, len(current.Shapes))
 	for _, s := range current.Shapes {
@@ -104,7 +104,7 @@ func diff(w *os.File, baseline, current *bench.DispatchReport, tolerance float64
 	}
 	seen := make(map[string]bool, len(baseline.Shapes))
 	failed := false
-	fmt.Fprintf(w, "%-16s %-12s %12s %12s %9s\n", "shape", "dispatch", "baseline", "current", "delta")
+	fmt.Fprintf(w, "%-16s %-12s %12s %12s %9s\n", "shape", "metric", "baseline", "current", "delta")
 	for _, base := range baseline.Shapes {
 		seen[base.Shape] = true
 		cur, ok := curByShape[base.Shape]
@@ -122,25 +122,18 @@ func diff(w *os.File, baseline, current *bench.DispatchReport, tolerance float64
 		if strings.HasPrefix(base.Shape, "serve-") {
 			shapeTol = tolerance * 2
 		}
-		for _, m := range []struct {
-			mode      string
-			base, cur float64
-		}{
-			{"worksteal", base.WorkSteal.WallMS, cur.WorkSteal.WallMS},
-			{"global-heap", base.GlobalHeap.WallMS, cur.GlobalHeap.WallMS},
-		} {
-			delta := 0.0
-			if m.base > 0 {
-				delta = (m.cur/m.base - 1) * 100
-			}
-			verdict := ""
-			if delta > shapeTol {
-				verdict = "  FAIL"
-				failed = true
-			}
-			fmt.Fprintf(w, "%-16s %-12s %10.2fms %10.2fms %+8.1f%%%s\n",
-				base.Shape, m.mode, m.base, m.cur, delta, verdict)
+		b, c := base.WorkSteal, cur.WorkSteal
+		delta := 0.0
+		if b.WallMS > 0 {
+			delta = (c.WallMS/b.WallMS - 1) * 100
 		}
+		verdict := ""
+		if delta > shapeTol {
+			verdict = "  FAIL"
+			failed = true
+		}
+		fmt.Fprintf(w, "%-16s %-12s %10.2fms %10.2fms %+8.1f%%%s\n",
+			base.Shape, "worksteal", b.WallMS, c.WallMS, delta, verdict)
 		// Functional dedup gates: a baseline that recorded dedup — across
 		// sessions (planned loads of foreign bytes) or in flight (the
 		// single-flight registry collapsing simultaneous identical work) —
@@ -150,12 +143,8 @@ func diff(w *os.File, baseline, current *bench.DispatchReport, tolerance float64
 			name      string
 			base, cur int64
 		}{
-			{"dedup-hits",
-				base.WorkSteal.CrossSessionHits + base.GlobalHeap.CrossSessionHits,
-				cur.WorkSteal.CrossSessionHits + cur.GlobalHeap.CrossSessionHits},
-			{"inflight-hits",
-				base.WorkSteal.InflightDedupHits + base.GlobalHeap.InflightDedupHits,
-				cur.WorkSteal.InflightDedupHits + cur.GlobalHeap.InflightDedupHits},
+			{"dedup-hits", b.CrossSessionHits, c.CrossSessionHits},
+			{"inflight-hits", b.InflightDedupHits, c.InflightDedupHits},
 		} {
 			if gate.base > 0 && gate.cur == 0 {
 				fmt.Fprintf(w, "%-16s %-12s %12d %12d %9s\n", base.Shape, gate.name, gate.base, gate.cur, "FAIL")

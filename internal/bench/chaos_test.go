@@ -16,14 +16,12 @@ import (
 )
 
 // chaosConfigs are the executor configurations the chaos harness drives:
-// both dispatch modes × both orderings, with release toggled across the
-// set so retries and recomputes race the value plane's slot clearing too.
+// the dataflow scheduler with release toggled, so retries and recomputes
+// race the value plane's slot clearing too.
 func chaosConfigs() []schedConfig {
 	return []schedConfig{
-		{name: "ws-cp", sched: exec.Dataflow, dispatch: exec.WorkSteal, order: exec.CriticalPath},
-		{name: "ws-minid-release", sched: exec.Dataflow, dispatch: exec.WorkSteal, order: exec.MinID, release: true},
-		{name: "gh-cp-release", sched: exec.Dataflow, dispatch: exec.GlobalHeap, order: exec.CriticalPath, release: true},
-		{name: "gh-minid", sched: exec.Dataflow, dispatch: exec.GlobalHeap, order: exec.MinID},
+		{name: "dataflow", sched: exec.Dataflow},
+		{name: "dataflow-release", sched: exec.Dataflow, release: true},
 	}
 }
 
@@ -111,8 +109,6 @@ func TestChaosEquivalence(t *testing.T) {
 				e := &exec.Engine{
 					Workers:              4,
 					Sched:                c.sched,
-					Order:                c.order,
-					Dispatch:             c.dispatch,
 					ReleaseIntermediates: c.release,
 					Store:                hot,
 					Spill:                cold,
@@ -334,33 +330,30 @@ func TestEIOBreakerDegradesToHotOnly(t *testing.T) {
 // joined error must surface the injected fault, not the collateral
 // context cancellations.
 func TestFatalFaultCancelsRun(t *testing.T) {
-	for _, dispatch := range []exec.DispatchMode{exec.WorkSteal, exec.GlobalHeap} {
-		t.Run(dispatch.String(), func(t *testing.T) {
-			// A root fanning out to slow sleepers plus one fatal node: the
-			// sleepers are mid-sleep when the fatal error lands.
-			sd := WideDAG(8, 50*time.Millisecond)
-			tasks := append([]exec.Task(nil), sd.Tasks...)
-			tasks[2] = FaultyOp(tasks[2], FaultSchedule{Fatal: true})
-			e := &exec.Engine{
-				Workers:  4,
-				Dispatch: dispatch,
-				Faults:   exec.FaultPolicy{MaxAttempts: 3, BaseBackoff: time.Microsecond},
-			}
-			start := time.Now()
-			_, err := e.Execute(sd.G, tasks, sd.Plan())
-			if err == nil {
-				t.Fatal("run with a fatal fault succeeded")
-			}
-			if !errors.Is(err, ErrInjectedFatal) {
-				t.Fatalf("error %v does not wrap the injected fatal fault", err)
-			}
-			// Fatal means no retry: the run must die on the first attempt,
-			// well before the 50ms sleepers would have finished naturally.
-			if wall := time.Since(start); wall > 40*time.Millisecond {
-				t.Errorf("cancellation took %v; in-flight sleepers were not interrupted", wall)
-			}
-		})
-	}
+	t.Run("worksteal", func(t *testing.T) {
+		// A root fanning out to slow sleepers plus one fatal node: the
+		// sleepers are mid-sleep when the fatal error lands.
+		sd := WideDAG(8, 50*time.Millisecond)
+		tasks := append([]exec.Task(nil), sd.Tasks...)
+		tasks[2] = FaultyOp(tasks[2], FaultSchedule{Fatal: true})
+		e := &exec.Engine{
+			Workers: 4,
+			Faults:  exec.FaultPolicy{MaxAttempts: 3, BaseBackoff: time.Microsecond},
+		}
+		start := time.Now()
+		_, err := e.Execute(sd.G, tasks, sd.Plan())
+		if err == nil {
+			t.Fatal("run with a fatal fault succeeded")
+		}
+		if !errors.Is(err, ErrInjectedFatal) {
+			t.Fatalf("error %v does not wrap the injected fatal fault", err)
+		}
+		// Fatal means no retry: the run must die on the first attempt,
+		// well before the 50ms sleepers would have finished naturally.
+		if wall := time.Since(start); wall > 40*time.Millisecond {
+			t.Errorf("cancellation took %v; in-flight sleepers were not interrupted", wall)
+		}
+	})
 }
 
 // TestChaosLevelBarrier runs the fault schedule under the level-barrier

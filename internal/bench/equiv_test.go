@@ -17,11 +17,9 @@ import (
 
 // schedConfig is one executor configuration under equivalence test.
 type schedConfig struct {
-	name     string
-	sched    exec.Strategy
-	order    exec.Ordering
-	dispatch exec.DispatchMode
-	release  bool
+	name    string
+	sched   exec.Strategy
+	release bool
 	// reweight forces online re-prioritization passes (Adaptive with a
 	// 1-completion interval and a 1ns divergence floor, so every graph
 	// actually re-sorts mid-run); false pins the initial weights
@@ -29,27 +27,22 @@ type schedConfig struct {
 	reweight bool
 }
 
-// equivConfigs are every scheduler configuration that must agree with the
-// level-barrier reference: both dispatch modes (work-stealing and the
-// global-heap baseline) × both orderings × with and without refcounted
-// release of consumed intermediates × with re-prioritization passes
-// forced on every completion and pinned off.
+// equivConfigs are every dataflow configuration that must agree with the
+// level-barrier reference: with and without refcounted release of
+// consumed intermediates × with re-prioritization passes forced on every
+// completion and pinned off.
 func equivConfigs() []schedConfig {
 	var out []schedConfig
-	for _, d := range []exec.DispatchMode{exec.WorkSteal, exec.GlobalHeap} {
-		for _, o := range []exec.Ordering{exec.CriticalPath, exec.MinID} {
-			for _, release := range []bool{false, true} {
-				for _, reweight := range []bool{false, true} {
-					name := fmt.Sprintf("dataflow-%s-%s", d, o)
-					if release {
-						name += "-release"
-					}
-					if reweight {
-						name += "-reweight"
-					}
-					out = append(out, schedConfig{name, exec.Dataflow, o, d, release, reweight})
-				}
+	for _, release := range []bool{false, true} {
+		for _, reweight := range []bool{false, true} {
+			name := "dataflow"
+			if release {
+				name += "-release"
 			}
+			if reweight {
+				name += "-reweight"
+			}
+			out = append(out, schedConfig{name, exec.Dataflow, release, reweight})
 		}
 	}
 	return out
@@ -113,8 +106,7 @@ func sharedSigDAG(tag string) *SchedDAG {
 func TestSharedSignatureEncodedOnceAcrossExecutors(t *testing.T) {
 	configs := []schedConfig{
 		{name: "level-barrier", sched: exec.LevelBarrier},
-		{name: "dataflow-worksteal", sched: exec.Dataflow, dispatch: exec.WorkSteal},
-		{name: "dataflow-global-heap", sched: exec.Dataflow, dispatch: exec.GlobalHeap},
+		{name: "dataflow-worksteal", sched: exec.Dataflow},
 	}
 	for i, c := range configs {
 		for _, cdc := range []store.Codec{store.CodecBinary, store.CodecGob} {
@@ -128,12 +120,11 @@ func TestSharedSignatureEncodedOnceAcrossExecutors(t *testing.T) {
 						t.Fatal(err)
 					}
 					e := &exec.Engine{
-						Workers:  4,
-						Sched:    c.sched,
-						Dispatch: c.dispatch,
-						Store:    st,
-						Codec:    cdc,
-						Policy:   opt.MaterializeAll{},
+						Workers: 4,
+						Sched:   c.sched,
+						Store:   st,
+						Codec:   cdc,
+						Policy:  opt.MaterializeAll{},
 					}
 					gobBefore, binBefore := store.GobEncodeCalls(), store.BinaryEncodeCalls()
 					res, err := e.Execute(sd.G, sd.Tasks, sd.Plan())
@@ -176,8 +167,8 @@ func TestSharedSignatureEncodedOnceAcrossExecutors(t *testing.T) {
 
 // TestRandomizedSpillEquivalence forces the tiered store into the
 // randomized harness: the same seeded graphs and mixed plans as the
-// scheduler-equivalence test, but every dataflow configuration (dispatch ×
-// ordering × release) runs against a hot tier so small that most
+// scheduler-equivalence test, but every dataflow configuration (with and
+// without release) runs against a hot tier so small that most
 // materializations spill and most loads hit cold and promote — maximal
 // cross-tier churn under concurrency. Each configuration must still agree
 // with the unbudgeted single-tier level-barrier reference on byte-identical
@@ -265,8 +256,6 @@ func TestRandomizedSpillEquivalence(t *testing.T) {
 				e := &exec.Engine{
 					Workers:              4,
 					Sched:                c.sched,
-					Order:                c.order,
-					Dispatch:             c.dispatch,
 					ReleaseIntermediates: c.release,
 					Store:                hot,
 					Spill:                cold,
@@ -440,8 +429,6 @@ func TestRandomizedCodecEquivalence(t *testing.T) {
 				e := &exec.Engine{
 					Workers:  4,
 					Sched:    exec.Dataflow,
-					Order:    exec.CriticalPath,
-					Dispatch: exec.WorkSteal,
 					Store:    hot,
 					Spill:    cold,
 					Codec:    cfg.cdc,
@@ -502,8 +489,7 @@ func TestRandomizedCodecEquivalence(t *testing.T) {
 // TestRandomizedEvictionEquivalence turns the cold tier's eviction policy
 // into a harness dimension: across seeded random graphs with mixed plans,
 // every combination of eviction policy (LRU vs reward-aware, the latter
-// also with the min-cut evict-set planner) × dispatch mode × forced
-// re-prioritization × injected transient faults runs against a cold tier
+// also with the min-cut evict-set planner) × forced re-prioritization × injected transient faults runs against a cold tier
 // sized to just hold the prepopulated loadable keys — so every fresh
 // materialization during the run must evict — and must still agree with
 // the unbudgeted level-barrier reference on state counts and byte-identical
@@ -594,71 +580,67 @@ func TestRandomizedEvictionEquivalence(t *testing.T) {
 				{"reward", store.EvictReward, false},
 				{"reward+maxflow", store.EvictReward, true},
 			} {
-				for _, dispatch := range []exec.DispatchMode{exec.WorkSteal, exec.GlobalHeap} {
-					for _, reweight := range []bool{false, true} {
-						for _, faults := range []bool{false, true} {
-							name := fmt.Sprintf("%s-%s-rw%v-f%v", em.name, dispatch, reweight, faults)
-							hot, err := store.Open(t.TempDir(), tinyHot)
-							if err != nil {
+				for _, reweight := range []bool{false, true} {
+					for _, faults := range []bool{false, true} {
+						name := fmt.Sprintf("%s-rw%v-f%v", em.name, reweight, faults)
+						hot, err := store.Open(t.TempDir(), tinyHot)
+						if err != nil {
+							t.Fatal(err)
+						}
+						cold, err := store.OpenSpill(t.TempDir(), coldBudget)
+						if err != nil {
+							t.Fatal(err)
+						}
+						cold.SetEvictionPolicy(em.policy)
+						prepopulate(store.NewTiered(hot, cold))
+						run := sd
+						e := &exec.Engine{
+							Workers:  4,
+							Sched:    exec.Dataflow,
+							Store:    hot,
+							Spill:    cold,
+							Policy:   opt.MaterializeAll{},
+							Reweight: exec.ReweightOff,
+						}
+						if em.maxflow {
+							if err := e.UseMaxflowEviction(sd.G, sd.Tasks); err != nil {
 								t.Fatal(err)
 							}
-							cold, err := store.OpenSpill(t.TempDir(), coldBudget)
-							if err != nil {
-								t.Fatal(err)
+						}
+						if reweight {
+							e.Reweight = exec.Adaptive
+							e.ReweightInterval = 1
+							e.ReweightMinDivergence = time.Nanosecond
+						}
+						if faults {
+							fp := DefaultFaultPlan(seed)
+							run, _ = WithFaults(sd, fp)
+							e.Faults = fp.Policy()
+						}
+						res, err := e.Execute(run.G, run.Tasks, plan)
+						if err != nil {
+							t.Fatalf("%s: %v", name, err)
+						}
+						totalEvictions += cold.Evictions()
+						totalRetries += res.Retries
+						gotC, gotL, gotP := stateCounts(res)
+						if gotC != refC || gotL != refL || gotP != refP {
+							t.Errorf("%s: counts computed/loaded/pruned = %d/%d/%d, reference %d/%d/%d",
+								name, gotC, gotL, gotP, refC, refL, refP)
+						}
+						if cold.Used() > coldBudget {
+							t.Errorf("%s: cold tier used %d over its %d budget", name, cold.Used(), coldBudget)
+						}
+						for i := 0; i < n; i++ {
+							id := dag.NodeID(i)
+							refV, refOK := ref.Values[id]
+							gotV, gotOK := res.Values[id]
+							if gotOK != refOK {
+								t.Errorf("%s: node %d present=%v, reference %v", name, i, gotOK, refOK)
+								continue
 							}
-							cold.SetEvictionPolicy(em.policy)
-							prepopulate(store.NewTiered(hot, cold))
-							run := sd
-							e := &exec.Engine{
-								Workers:  4,
-								Sched:    exec.Dataflow,
-								Order:    exec.CriticalPath,
-								Dispatch: dispatch,
-								Store:    hot,
-								Spill:    cold,
-								Policy:   opt.MaterializeAll{},
-								Reweight: exec.ReweightOff,
-							}
-							if em.maxflow {
-								if err := e.UseMaxflowEviction(sd.G, sd.Tasks); err != nil {
-									t.Fatal(err)
-								}
-							}
-							if reweight {
-								e.Reweight = exec.Adaptive
-								e.ReweightInterval = 1
-								e.ReweightMinDivergence = time.Nanosecond
-							}
-							if faults {
-								fp := DefaultFaultPlan(seed)
-								run, _ = WithFaults(sd, fp)
-								e.Faults = fp.Policy()
-							}
-							res, err := e.Execute(run.G, run.Tasks, plan)
-							if err != nil {
-								t.Fatalf("%s: %v", name, err)
-							}
-							totalEvictions += cold.Evictions()
-							totalRetries += res.Retries
-							gotC, gotL, gotP := stateCounts(res)
-							if gotC != refC || gotL != refL || gotP != refP {
-								t.Errorf("%s: counts computed/loaded/pruned = %d/%d/%d, reference %d/%d/%d",
-									name, gotC, gotL, gotP, refC, refL, refP)
-							}
-							if cold.Used() > coldBudget {
-								t.Errorf("%s: cold tier used %d over its %d budget", name, cold.Used(), coldBudget)
-							}
-							for i := 0; i < n; i++ {
-								id := dag.NodeID(i)
-								refV, refOK := ref.Values[id]
-								gotV, gotOK := res.Values[id]
-								if gotOK != refOK {
-									t.Errorf("%s: node %d present=%v, reference %v", name, i, gotOK, refOK)
-									continue
-								}
-								if gotOK && !bytes.Equal(encodeValue(t, gotV), encodeValue(t, refV)) {
-									t.Errorf("%s: node %d value differs from reference", name, i)
-								}
+							if gotOK && !bytes.Equal(encodeValue(t, gotV), encodeValue(t, refV)) {
+								t.Errorf("%s: node %d value differs from reference", name, i)
 							}
 						}
 					}
@@ -676,10 +658,10 @@ func TestRandomizedEvictionEquivalence(t *testing.T) {
 
 // TestRandomizedSchedulerEquivalence is the property harness of the
 // scheduler rewrite: across ≥50 seeded random graphs with mixed
-// load/compute/prune plans, every dataflow configuration (work-stealing ×
-// global-heap dispatch, both orderings, with and without
-// ReleaseIntermediates) must agree with the
-// level-barrier reference on byte-identical values, per-node states and
+// load/compute/prune plans, every dataflow configuration (with and without
+// ReleaseIntermediates, with re-prioritization passes forced and pinned
+// off) must agree with the level-barrier oracle on byte-identical values,
+// per-node states and
 // computed/loaded/pruned counts, materialization outcomes, and final
 // store contents. Each configuration executes against its own identically
 // pre-populated store, so runs cannot influence each other.
@@ -731,8 +713,6 @@ func TestRandomizedSchedulerEquivalence(t *testing.T) {
 				e := &exec.Engine{
 					Workers:              4,
 					Sched:                c.sched,
-					Order:                c.order,
-					Dispatch:             c.dispatch,
 					ReleaseIntermediates: c.release,
 					Store:                st,
 					Policy:               opt.MaterializeAll{},

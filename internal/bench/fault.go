@@ -113,10 +113,10 @@ func (p FaultPlan) Policy() exec.FaultPolicy {
 // the plan's matching retry policy, so the run completes (every injected
 // failure is recoverable) and the measurement's fault counters are
 // populated. Values remain byte-identical to a clean run's, so the usual
-// cross-dispatch value checks still apply.
-func MeasureDispatchFaults(sd *SchedDAG, dispatch exec.DispatchMode, workers int, plan FaultPlan) (DispatchMeasurement, *exec.Result, error) {
+// value checks against the level-barrier reference still apply.
+func MeasureDispatchFaults(sd *SchedDAG, workers int, plan FaultPlan) (DispatchMeasurement, *exec.Result, error) {
 	faulted, injected := WithFaults(sd, plan)
-	m, res, err := measureDispatch(faulted, dispatch, workers, plan.Policy())
+	m, res, err := measureDispatch(faulted, workers, plan.Policy())
 	if err != nil {
 		return m, res, err
 	}

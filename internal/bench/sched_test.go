@@ -1,11 +1,12 @@
 package bench
 
 import (
+	"context"
 	"reflect"
-	"runtime"
 	"testing"
 	"time"
 
+	"repro/internal/dag"
 	"repro/internal/exec"
 )
 
@@ -41,157 +42,64 @@ func TestSchedDAGsValid(t *testing.T) {
 	}
 }
 
-// TestSchedShapesEquivalentAcrossStrategies: every scheduler configuration
-// computes identical values on every stress shape — the correctness half
-// of the scheduler benchmarks.
+// TestSchedShapesEquivalentAcrossStrategies: the dataflow scheduler
+// computes byte-identical values to the level-barrier oracle on every
+// stress shape — the correctness half of the scheduler benchmarks.
 func TestSchedShapesEquivalentAcrossStrategies(t *testing.T) {
 	for _, sd := range schedShapes() {
 		lb, err := RunSched(sd, exec.LevelBarrier, 4)
 		if err != nil {
 			t.Fatalf("%s level-barrier: %v", sd.Name, err)
 		}
-		for _, order := range []exec.Ordering{exec.CriticalPath, exec.MinID} {
-			df, err := RunSchedOrdered(sd, exec.Dataflow, order, 4, false)
-			if err != nil {
-				t.Fatalf("%s dataflow/%v: %v", sd.Name, order, err)
-			}
-			if !reflect.DeepEqual(df.Values, lb.Values) {
-				t.Errorf("%s: values differ between dataflow/%v and level-barrier", sd.Name, order)
-			}
-		}
-	}
-}
-
-// TestFanoutChainCriticalPathBeatsMinID is the ordering-latency
-// acceptance check on the adversarial fanout shape: critical-path
-// dispatch starts the long chain immediately, min-ID drains every cheap
-// branch first. The shape is sleep-based so the expected ~33% gap does
-// not depend on spare cores; the assertion demands only a 10% win to
-// stay far from scheduler jitter. The two modes run interleaved, each
-// taking its min over five runs: a throttled-host freeze storm then
-// inflates samples of both modes instead of swallowing one mode's whole
-// series and compressing the ratio.
-func TestFanoutChainCriticalPathBeatsMinID(t *testing.T) {
-	sd := FanoutChainDAG(12, 6, time.Millisecond)
-	one := func(order exec.Ordering) time.Duration {
-		res, err := RunSchedOrdered(sd, exec.Dataflow, order, 4, false)
+		df, err := RunSched(sd, exec.Dataflow, 4)
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("%s dataflow: %v", sd.Name, err)
 		}
-		return res.Wall
-	}
-	cp := time.Duration(1<<62 - 1)
-	mi := cp
-	for i := 0; i < 5; i++ {
-		if w := one(exec.CriticalPath); w < cp {
-			cp = w
-		}
-		if w := one(exec.MinID); w < mi {
-			mi = w
-		}
-	}
-	if float64(cp) > 0.9*float64(mi) {
-		t.Errorf("critical-path %v not measurably faster than min-id %v on fanout-chain", cp, mi)
-	}
-}
-
-// TestCPUFanoutCriticalPathNotSlower compares the orderings on the
-// CPU-bound fanout. With spare cores critical-path should win outright;
-// on starved runners (single-core CI) total work equals makespan whatever
-// the order, so the assertion is only "not slower beyond noise".
-func TestCPUFanoutCriticalPathNotSlower(t *testing.T) {
-	if testing.Short() {
-		t.Skip("spin-loop shape is CPU-hungry")
-	}
-	sd := CPUFanoutDAG(12, 6, 500*time.Microsecond)
-	best := func(order exec.Ordering) time.Duration {
-		min := time.Duration(1<<62 - 1)
-		for i := 0; i < 3; i++ {
-			res, err := RunSchedOrdered(sd, exec.Dataflow, order, 4, false)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if res.Wall < min {
-				min = res.Wall
-			}
-		}
-		return min
-	}
-	cp, mi := best(exec.CriticalPath), best(exec.MinID)
-	if float64(cp) > 1.25*float64(mi) {
-		t.Errorf("critical-path %v slower than min-id %v beyond noise on cpu-fanout", cp, mi)
-	}
-	if runtime.NumCPU() >= 4 && float64(cp) > 0.95*float64(mi) {
-		t.Logf("note: %d cores available but critical-path %v did not beat min-id %v", runtime.NumCPU(), cp, mi)
-	}
-}
-
-// TestDispatchModesEquivalentOnShapes: on every stress shape, the
-// work-stealing and global-heap dispatchers produce byte-identical values
-// (checked against each other and the level-barrier reference).
-func TestDispatchModesEquivalentOnShapes(t *testing.T) {
-	for _, sd := range schedShapes() {
-		lb, err := RunSched(sd, exec.LevelBarrier, 4)
-		if err != nil {
-			t.Fatalf("%s level-barrier: %v", sd.Name, err)
-		}
-		for _, mode := range []exec.DispatchMode{exec.WorkSteal, exec.GlobalHeap} {
-			df, err := RunSchedDispatch(sd, exec.Dataflow, exec.CriticalPath, mode, 4, false)
-			if err != nil {
-				t.Fatalf("%s %v: %v", sd.Name, mode, err)
-			}
-			if err := SchedValuesEqual(df, lb); err != nil {
-				t.Errorf("%s %v: %v", sd.Name, mode, err)
-			}
+		if err := SchedValuesEqual(df, lb); err != nil {
+			t.Errorf("%s: %v", sd.Name, err)
 		}
 	}
 }
 
-// TestContentionWorkStealNotSlower is the CI-safe guard on the dispatch
-// rewrite: on the contention shape, work-stealing must not lose to the
-// global heap beyond noise (best of 5 each, interleaved so a freeze
-// storm hits both modes' samples). The ≥20% win itself is a benchmark
-// target (BenchmarkSchedulerContention), not a test assertion —
-// wall-clock ratios on starved shared runners are too noisy to gate a
-// build on.
-func TestContentionWorkStealNotSlower(t *testing.T) {
-	sd := ContentionDAG(32, 16)
-	one := func(mode exec.DispatchMode) time.Duration {
-		res, err := RunSchedDispatch(sd, exec.Dataflow, exec.CriticalPath, mode, 8, false)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res.Wall
+// TestFanoutChainHeadRunsFirst is the ordering property the fanout-chain
+// shape exists to show: with one worker and no history, the structural
+// critical-path weights put the chain head — the run's long pole, built
+// with the highest IDs — ahead of every cheap fanout branch, so it runs
+// right after the root.
+func TestFanoutChainHeadRunsFirst(t *testing.T) {
+	sd := FanoutChainDAG(6, 4, 0)
+	var order []string
+	tasks := make([]exec.Task, len(sd.Tasks))
+	for i, task := range sd.Tasks {
+		name, run := sd.G.Node(dag.NodeID(i)).Name, task.Run
+		tasks[i] = exec.Task{Run: func(ctx context.Context, in []any) (any, error) {
+			order = append(order, name) // single worker: no lock needed
+			return run(ctx, in)
+		}}
 	}
-	ws := time.Duration(1<<62 - 1)
-	gh := ws
-	for i := 0; i < 5; i++ {
-		if w := one(exec.WorkSteal); w < ws {
-			ws = w
-		}
-		if w := one(exec.GlobalHeap); w < gh {
-			gh = w
-		}
+	e := &exec.Engine{Workers: 1}
+	if _, err := e.Execute(sd.G, tasks, sd.Plan()); err != nil {
+		t.Fatal(err)
 	}
-	if float64(ws) > 1.5*float64(gh) {
-		t.Errorf("work-stealing %v slower than global heap %v beyond noise on contention shape", ws, gh)
+	if len(order) < 2 || order[0] != "root" || order[1] != "chain0" {
+		t.Errorf("dispatch order = %v, want root then chain0", order)
 	}
 }
 
 // TestMeasureDispatch: the BENCH_3 measurement helper reports the shape,
-// a positive wall, cross-worker transfers under work-stealing, and a
-// non-zero peak (the structural cold-size floor guarantees estimates
-// before any size is learned).
+// a positive wall, and a non-zero peak (the structural cold-size floor
+// guarantees estimates before any size is learned), and its run agrees
+// with the level-barrier oracle.
 func TestMeasureDispatch(t *testing.T) {
 	sd := ContentionDAG(8, 6)
-	m, res, err := MeasureDispatch(sd, exec.WorkSteal, 4)
+	m, res, err := MeasureDispatch(sd, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res == nil || len(res.Values) != len(sd.G.Outputs()) {
 		t.Fatalf("measured run result missing or wrong size: %+v", res)
 	}
-	if m.Shape != sd.Name || m.Nodes != sd.G.Len() || m.Workers != 4 || m.Dispatch != "worksteal" {
+	if m.Shape != sd.Name || m.Nodes != sd.G.Len() || m.Workers != 4 {
 		t.Errorf("measurement metadata wrong: %+v", m)
 	}
 	if m.WallMS <= 0 {
@@ -200,15 +108,12 @@ func TestMeasureDispatch(t *testing.T) {
 	if m.PeakLiveBytes <= 0 {
 		t.Errorf("peak live bytes not measured (cold structural floor missing?): %+v", m)
 	}
-	gh, ghRes, err := MeasureDispatch(sd, exec.GlobalHeap, 4)
+	lb, err := RunSched(sd, exec.LevelBarrier, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := SchedValuesEqual(res, ghRes); err != nil {
-		t.Errorf("measured runs disagree across modes: %v", err)
-	}
-	if gh.Steals != 0 || gh.Handoffs != 0 {
-		t.Errorf("global-heap measurement reported transfers: %+v", gh)
+	if err := SchedOutputsEqual(sd.G, res, lb); err != nil {
+		t.Errorf("measured run disagrees with the level-barrier oracle: %v", err)
 	}
 }
 
@@ -217,53 +122,49 @@ func TestMeasureDispatch(t *testing.T) {
 // the true long-pole chain behind claimed-expensive decoys, so static
 // critical-path pays the whole chain as a serial tail while adaptive
 // re-weighting corrects the decoy group off the first measured
-// completions. Asserted under both dispatchers: the global heap buries the
-// chain strictly by rank, and work-stealing — since the stranding-consult
-// fix — declines a deceptively under-weighted local top in favor of the
-// published global best, so the lie costs it the same serial tail instead
-// of being accidentally rescued by steal-half stranding (the PR 4
-// finding, now closed). The design-point gap is ~25-40% at 8 workers; the
-// assertion demands 15%: on a throttled CI host a slow window inflates
-// both modes' walls by the same additive freeze time, which preserves the
-// absolute gap but pushes the ratio toward 1, so the factor carries slack
-// for exactly that signature. The shape is sleep-dominated so the gap
-// does not depend on spare cores, each mode takes its min over five runs
-// (one clean run per mode is all the comparison needs), and values must
-// be byte-identical across modes.
+// completions. Work-stealing declines a deceptively under-weighted local
+// top in favor of the published global best (the stranding consult), so
+// the lie costs static dispatch the whole serial tail instead of being
+// accidentally rescued by steal-half stranding. The design-point gap is
+// ~25-40% at 8 workers; the assertion demands 15%: on a throttled CI host
+// a slow window inflates both modes' walls by the same additive freeze
+// time, which preserves the absolute gap but pushes the ratio toward 1,
+// so the factor carries slack for exactly that signature. The shape is
+// sleep-dominated so the gap does not depend on spare cores, each mode
+// takes its min over five runs (one clean run per mode is all the
+// comparison needs), and values must be byte-identical across modes.
 func TestLiarAdaptiveBeatsStatic(t *testing.T) {
 	const factor = 0.85
-	for _, dispatch := range []exec.DispatchMode{exec.GlobalHeap, exec.WorkSteal} {
-		t.Run(dispatch.String(), func(t *testing.T) {
-			best := func(mode exec.Reweight) (time.Duration, *exec.Result) {
-				min := time.Duration(1<<62 - 1)
-				var bestRes *exec.Result
-				for i := 0; i < 5; i++ {
-					sd := DefaultLiarDAG()
-					_, res, err := MeasureReweight(sd, DefaultLiarHistory(sd), mode, dispatch, 8)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if res.Wall < min {
-						min = res.Wall
-						bestRes = res
-					}
-					if mode == exec.Adaptive && res.Reweights == 0 {
-						t.Error("adaptive run performed no re-prioritization passes")
-					}
+	t.Run("worksteal", func(t *testing.T) {
+		best := func(mode exec.Reweight) (time.Duration, *exec.Result) {
+			min := time.Duration(1<<62 - 1)
+			var bestRes *exec.Result
+			for i := 0; i < 5; i++ {
+				sd := DefaultLiarDAG()
+				_, res, err := MeasureReweight(sd, DefaultLiarHistory(sd), mode, 8)
+				if err != nil {
+					t.Fatal(err)
 				}
-				return min, bestRes
+				if res.Wall < min {
+					min = res.Wall
+					bestRes = res
+				}
+				if mode == exec.Adaptive && res.Reweights == 0 {
+					t.Error("adaptive run performed no re-prioritization passes")
+				}
 			}
-			ad, adRes := best(exec.Adaptive)
-			off, offRes := best(exec.ReweightOff)
-			if err := SchedValuesEqual(adRes, offRes); err != nil {
-				t.Fatal(err)
-			}
-			if float64(ad) > factor*float64(off) {
-				t.Errorf("adaptive min-wall %v not ≥%.0f%% below static %v on the liar shape under %s",
-					ad, 100*(1-factor), off, dispatch)
-			}
-		})
-	}
+			return min, bestRes
+		}
+		ad, adRes := best(exec.Adaptive)
+		off, offRes := best(exec.ReweightOff)
+		if err := SchedValuesEqual(adRes, offRes); err != nil {
+			t.Fatal(err)
+		}
+		if float64(ad) > factor*float64(off) {
+			t.Errorf("adaptive min-wall %v not ≥%.0f%% below static %v on the liar shape",
+				ad, 100*(1-factor), off)
+		}
+	})
 }
 
 // TestMeasureReweightMetadata: the reweight measurement helper reports the
@@ -271,12 +172,12 @@ func TestLiarAdaptiveBeatsStatic(t *testing.T) {
 // counts its passes.
 func TestMeasureReweightMetadata(t *testing.T) {
 	sd := DefaultLiarDAG()
-	m, res, err := MeasureReweight(sd, DefaultLiarHistory(sd), exec.Adaptive, exec.WorkSteal, 8)
+	m, res, err := MeasureReweight(sd, DefaultLiarHistory(sd), exec.Adaptive, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if m.Shape != "liar" || m.Nodes != sd.G.Len() || m.Workers != 8 ||
-		m.Reweight != "adaptive" || m.Dispatch != "worksteal" {
+		m.Reweight != "adaptive" {
 		t.Errorf("measurement metadata wrong: %+v", m)
 	}
 	if m.WallMS <= 0 {
@@ -287,16 +188,17 @@ func TestMeasureReweightMetadata(t *testing.T) {
 	}
 }
 
-// TestRunSchedReleaseDropsIntermediates: the release knob of
-// RunSchedOrdered leaves only output values behind, and they match the
-// retain-everything run.
+// TestRunSchedReleaseDropsIntermediates: releasing intermediates on a
+// stress shape leaves only output values behind, and they match the
+// retain-everything RunSched run.
 func TestRunSchedReleaseDropsIntermediates(t *testing.T) {
 	sd := FanoutChainDAG(4, 3, 0)
-	full, err := RunSchedOrdered(sd, exec.Dataflow, exec.CriticalPath, 4, false)
+	full, err := RunSched(sd, exec.Dataflow, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rel, err := RunSchedOrdered(sd, exec.Dataflow, exec.CriticalPath, 4, true)
+	e := &exec.Engine{Workers: 4, ReleaseIntermediates: true}
+	rel, err := e.Execute(sd.G, sd.Tasks, sd.Plan())
 	if err != nil {
 		t.Fatal(err)
 	}

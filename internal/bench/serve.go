@@ -42,8 +42,6 @@ type ServeLoadOptions struct {
 	// Rows sizes the shared census dataset (default 600 — large enough
 	// that reuse beats recompute, small enough for CI).
 	Rows int
-	// Dispatch selects the daemon's dispatch mode for this measurement.
-	Dispatch exec.DispatchMode
 }
 
 // MeasureServeLoad drives the serve daemon end-to-end over HTTP: Clients
@@ -73,7 +71,6 @@ func MeasureServeLoad(dir string, o ServeLoadOptions) (DispatchMeasurement, erro
 		Workers:          o.Workers,
 		MaxConcurrent:    o.Clients,
 		DefaultRows:      o.Rows,
-		Dispatch:         o.Dispatch,
 	})
 	if err != nil {
 		return DispatchMeasurement{}, err
@@ -173,7 +170,6 @@ func MeasureServeLoad(dir string, o ServeLoadOptions) (DispatchMeasurement, erro
 	return DispatchMeasurement{
 		Shape:         "serve-loadgen",
 		Nodes:         nodes,
-		Dispatch:      o.Dispatch.String(),
 		Workers:       o.Workers,
 		WallMS:        float64(wall.Microseconds()) / 1000,
 		Counters:      totals,
@@ -194,7 +190,6 @@ func runDedupProbe(dir string, o ServeLoadOptions, totals *exec.Counters) (int64
 		Workers:          o.Workers,
 		MaxConcurrent:    o.Clients,
 		DefaultRows:      o.Rows,
-		Dispatch:         o.Dispatch,
 	})
 	if err != nil {
 		return 0, err

@@ -1,10 +1,13 @@
 package core
 
 import (
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
 	"repro/internal/dag"
+	"repro/internal/exec"
 	"repro/internal/ml"
 	"repro/internal/opt"
 	"repro/internal/sig"
@@ -172,7 +175,7 @@ func TestCompileSignatureStability(t *testing.T) {
 }
 
 func TestSessionFirstRunComputesAll(t *testing.T) {
-	s, err := NewSession(Config{
+	s, err := Open(Options{
 		SystemName: "helix", StoreDir: t.TempDir(),
 		Policy: opt.OnlineHeuristic{}, Reuse: true,
 	})
@@ -200,7 +203,7 @@ func TestSessionFirstRunComputesAll(t *testing.T) {
 }
 
 func TestSessionMLIterationReusesPrep(t *testing.T) {
-	s, err := NewSession(Config{
+	s, err := Open(Options{
 		SystemName: "helix", StoreDir: t.TempDir(),
 		Policy: opt.MaterializeAll{}, Reuse: true,
 	})
@@ -240,7 +243,7 @@ func TestSessionMLIterationReusesPrep(t *testing.T) {
 
 func TestSessionSpillTierKeepsReuseUnderPressure(t *testing.T) {
 	// Measure the workflow's full materialization footprint unbudgeted.
-	probe, err := NewSession(Config{
+	probe, err := Open(Options{
 		SystemName: "helix", StoreDir: t.TempDir(),
 		Policy: opt.MaterializeAll{}, Reuse: true,
 	})
@@ -261,7 +264,7 @@ func TestSessionSpillTierKeepsReuseUnderPressure(t *testing.T) {
 
 	// A hot tier at half that footprint must spill, stay inside its
 	// budget, and still let the next iteration reuse data prep.
-	s, err := NewSession(Config{
+	s, err := Open(Options{
 		SystemName: "helix", StoreDir: t.TempDir(),
 		BudgetBytes: total / 2, SpillDir: t.TempDir(),
 		Policy: opt.MaterializeAll{}, Reuse: true,
@@ -305,13 +308,13 @@ func TestSessionSpillTierKeepsReuseUnderPressure(t *testing.T) {
 }
 
 func TestSessionSpillRequiresStore(t *testing.T) {
-	if _, err := NewSession(Config{SystemName: "helix", SpillDir: t.TempDir()}); err == nil {
-		t.Fatal("NewSession accepted a spill tier without a hot store")
+	if _, err := Open(Options{SystemName: "helix", SpillDir: t.TempDir()}); err == nil {
+		t.Fatal("Open accepted a spill tier without a hot store")
 	}
 }
 
 func TestSessionIdenticalRerunLoadsOutputsOnly(t *testing.T) {
-	s, err := NewSession(Config{
+	s, err := Open(Options{
 		SystemName: "helix", StoreDir: t.TempDir(),
 		Policy: opt.MaterializeAll{}, Reuse: true,
 	})
@@ -342,7 +345,7 @@ func TestSessionIdenticalRerunLoadsOutputsOnly(t *testing.T) {
 }
 
 func TestSessionNoReuseRecomputesEverything(t *testing.T) {
-	s, err := NewSession(Config{
+	s, err := Open(Options{
 		SystemName: "keystoneml", StoreDir: t.TempDir(),
 		Policy: opt.MaterializeNone{}, Reuse: false,
 	})
@@ -365,7 +368,7 @@ func TestSessionNoReuseRecomputesEverything(t *testing.T) {
 }
 
 func TestSessionNeverReuseCategory(t *testing.T) {
-	s, err := NewSession(Config{
+	s, err := Open(Options{
 		SystemName: "deepdive", StoreDir: t.TempDir(),
 		Policy: opt.MaterializeAll{}, Reuse: true,
 		NeverReuse: []Category{CatML, CatEval},
@@ -393,7 +396,7 @@ func TestSessionNeverReuseCategory(t *testing.T) {
 }
 
 func TestSessionDataPrepIterationInvalidatesDownstream(t *testing.T) {
-	s, err := NewSession(Config{
+	s, err := Open(Options{
 		SystemName: "helix", StoreDir: t.TempDir(),
 		Policy: opt.MaterializeAll{}, Reuse: true,
 	})
@@ -427,7 +430,7 @@ func TestSessionSlicePrunesDeadExtractor(t *testing.T) {
 	// Declare an extractor that no featurize consumes: it must be pruned.
 	wf := censusWorkflow(0.1, "accuracy", true)
 	wf.Apply("race", Field("race"), "rows") // dead: not an income input
-	s, err := NewSession(Config{SystemName: "helix", Reuse: false})
+	s, err := Open(Options{SystemName: "helix", Reuse: false})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -441,7 +444,7 @@ func TestSessionSlicePrunesDeadExtractor(t *testing.T) {
 }
 
 func TestReportRendering(t *testing.T) {
-	s, err := NewSession(Config{SystemName: "helix", StoreDir: t.TempDir(), Policy: opt.MaterializeAll{}, Reuse: true})
+	s, err := Open(Options{SystemName: "helix", StoreDir: t.TempDir(), Policy: opt.MaterializeAll{}, Reuse: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -473,7 +476,7 @@ func TestUDFOperator(t *testing.T) {
 	wf.Source("src", NewLiteralSource("ab", ""))
 	wf.Apply("doubled", udf, "src")
 	wf.Output("doubled")
-	s, err := NewSession(Config{SystemName: "t"})
+	s, err := Open(Options{SystemName: "t"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -534,7 +537,7 @@ func TestLearnerKinds(t *testing.T) {
 		wf.Apply("predictions", NewPredict(), "model", "income")
 		wf.Apply("checked", NewEval("accuracy"), "predictions")
 		wf.Output("checked")
-		s, err := NewSession(Config{SystemName: "t"})
+		s, err := Open(Options{SystemName: "t"})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -547,4 +550,50 @@ func TestLearnerKinds(t *testing.T) {
 			t.Errorf("%s accuracy = %v", kind, met.Accuracy)
 		}
 	}
+}
+
+// TestOpenCorruptHistoryColdStarts: a zero-length history file (what a
+// power loss mid-write can leave) or a garbage one must not block Open.
+// The session cold-starts with no estimates, runs, and its next Save
+// rewrites a parseable file. An unreadable history (here: a directory in
+// its place) is an I/O error and still fails Open.
+func TestOpenCorruptHistoryColdStarts(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		body []byte
+	}{
+		{"zero-length", nil},
+		{"garbage", []byte("{nope")},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			path := filepath.Join(dir, historyFile)
+			if err := os.WriteFile(path, tc.body, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			s, err := Open(Options{StoreDir: dir, Policy: opt.MaterializeAll{}, Reuse: true})
+			if err != nil {
+				t.Fatalf("corrupt history blocked Open: %v", err)
+			}
+			if _, err := s.Run(censusWorkflow(0.1, "accuracy", true)); err != nil {
+				t.Fatal(err)
+			}
+			h := exec.NewHistory()
+			if err := h.Load(path); err != nil {
+				t.Fatalf("history not rewritten after the first iteration: %v", err)
+			}
+			if _, ok := h.Compute("model"); !ok {
+				t.Error("rewritten history has no estimate for the model node")
+			}
+		})
+	}
+	t.Run("unreadable", func(t *testing.T) {
+		dir := t.TempDir()
+		if err := os.Mkdir(filepath.Join(dir, historyFile), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Open(Options{StoreDir: dir}); err == nil {
+			t.Error("an unreadable history file was treated as a cold start")
+		}
+	})
 }

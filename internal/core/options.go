@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 
 	"repro/internal/exec"
@@ -46,24 +47,6 @@ type Options struct {
 	NeverReuse []Category
 	// Workers bounds intra-iteration parallelism.
 	Workers int
-	// Sched selects the execution scheduling strategy; the zero value is
-	// the dependency-counting dataflow scheduler. LevelBarrier reproduces
-	// the original wave executor for A/B comparisons.
-	Sched exec.Strategy
-	// Order selects the dataflow ready-queue priority; the zero value is
-	// cost-aware critical-path-first. exec.MinID restores the original
-	// smallest-ID dispatch for A/B comparisons.
-	Order exec.Ordering
-	// Dispatch selects how the dataflow scheduler hands ready nodes to
-	// workers; the zero value is work-stealing (per-worker deques).
-	// exec.GlobalHeap restores the single shared ready heap for A/B
-	// comparisons.
-	Dispatch exec.DispatchMode
-	// Reweight selects online re-prioritization of the remaining DAG from
-	// measured durations; the zero value is exec.Adaptive.
-	// exec.ReweightOff pins the weights computed at the top of each
-	// iteration for A/B comparisons.
-	Reweight exec.Reweight
 	// KeepIntermediates retains every non-pruned value in memory for the
 	// whole iteration. By default the session releases a non-output value
 	// the moment its last consumer has run (memory-bounded execution;
@@ -103,12 +86,6 @@ type Options struct {
 	// private history is loaded from and saved to StoreDir as before.
 	SharedHistory *exec.History
 }
-
-// Config is the deprecated name of Options, kept as an alias for one
-// release so existing call sites compile unchanged.
-//
-// Deprecated: use Options with Open.
-type Config = Options
 
 // Validate defaults and sanity-checks the options in place. Open calls it;
 // callers only need it to inspect the resolved values early.
@@ -162,8 +139,10 @@ func Open(o Options) (*Session, error) {
 			}
 			s.spill = sp
 		}
+		// A corrupt history file is a cold start: the session runs with no
+		// estimates and the next Save rewrites the file.
 		if o.SharedHistory == nil {
-			if err := s.history.Load(s.historyPath()); err != nil {
+			if err := s.history.Load(s.historyPath()); err != nil && !errors.Is(err, exec.ErrCorruptHistory) {
 				return nil, err
 			}
 		}
@@ -174,10 +153,6 @@ func Open(o Options) (*Session, error) {
 		Policy:               o.Policy,
 		Workers:              o.Workers,
 		History:              s.history,
-		Sched:                o.Sched,
-		Order:                o.Order,
-		Dispatch:             o.Dispatch,
-		Reweight:             o.Reweight,
 		ReleaseIntermediates: !o.KeepIntermediates,
 		LiveBytes:            &s.live,
 		Faults:               o.Faults,

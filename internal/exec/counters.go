@@ -23,18 +23,18 @@ const ReportSchemaVersion = 3
 // reports daemon-lifetime totals).
 type Counters struct {
 	// Steals counts ready nodes an idle worker took from another worker's
-	// deque (work-stealing dispatch only; always 0 otherwise).
+	// deque (dataflow scheduler only; always 0 under LevelBarrier).
 	Steals int64 `json:"steals"`
 	// Handoffs counts ready nodes a finishing worker routed through the
-	// global overflow queue to parked workers (work-stealing dispatch only).
+	// global overflow queue to parked workers (dataflow scheduler only).
 	Handoffs int64 `json:"handoffs"`
 	// AffinityKeeps counts newly-ready children the work-stealing dispatcher
 	// kept on the producing worker's deque instead of handing off — the
 	// surplus beyond one-node-per-parked-worker, left where their freshly
-	// computed inputs are warm (work-stealing dispatch only).
+	// computed inputs are warm (dataflow scheduler only).
 	AffinityKeeps int64 `json:"affinity_keeps"`
 	// Reweights counts online re-prioritization passes (dataflow scheduler,
-	// critical-path ordering, Adaptive reweighting only; always 0 otherwise).
+	// Adaptive reweighting only; always 0 otherwise).
 	Reweights int64 `json:"reweights"`
 	// Spills counts values admitted to the cold spill tier after the hot
 	// tier's budget rejected them (always 0 without a spill tier).

@@ -23,7 +23,7 @@ func materializedCount(res *Result) int {
 }
 
 // TestEncodeOncePerMaterializedValue is the encode-once acceptance check:
-// across both dataflow dispatch modes and the level-barrier reference,
+// across the dataflow scheduler and the level-barrier reference,
 // with cold history (so the size probe must serialize), the store codec
 // performs exactly one gob encode per materialized value — the probe
 // encoding is threaded through to the persist instead of re-encoding.
@@ -32,11 +32,9 @@ func TestEncodeOncePerMaterializedValue(t *testing.T) {
 	configs := []struct {
 		name  string
 		sched Strategy
-		mode  DispatchMode
 	}{
-		{"worksteal", Dataflow, WorkSteal},
-		{"global-heap", Dataflow, GlobalHeap},
-		{"level-barrier", LevelBarrier, WorkSteal},
+		{"worksteal", Dataflow},
+		{"level-barrier", LevelBarrier},
 	}
 	for _, tc := range configs {
 		t.Run(tc.name, func(t *testing.T) {
@@ -50,7 +48,7 @@ func TestEncodeOncePerMaterializedValue(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			e := &Engine{Workers: 4, Sched: tc.sched, Dispatch: tc.mode, Store: st, Policy: opt.MaterializeAll{}}
+			e := &Engine{Workers: 4, Sched: tc.sched, Store: st, Policy: opt.MaterializeAll{}}
 			before := store.EncodeCalls()
 			res, err := e.Execute(g, tasks, allCompute(g.Len()))
 			if err != nil {

@@ -9,20 +9,18 @@
 // parent finishes, and a fixed worker pool drains the ready set until the
 // slice completes or the first error cancels all not-yet-dispatched work.
 // There are no level barriers, so a straggler delays only its own
-// descendants, never unrelated branches. Dispatch is work-stealing by
-// default (see docs/scheduler.md): each worker owns a private priority
-// deque seeded by a critical-path-aware partition of the initial ready set,
-// a finishing worker keeps its highest-priority newly-ready child to run
-// directly and queues the rest locally — no global lock on the happy path —
-// while idle workers steal batches from seeded-randomly probed victims and
-// parked workers are fed through a small global overflow queue.
-// Engine{Dispatch: GlobalHeap} retains the previous single shared ready
-// heap behind one mutex for A/B benchmarks. Both dispatchers are cost-aware
-// by default: every node carries a critical-path weight (its heaviest
+// descendants, never unrelated branches. Dispatch is work-stealing (see
+// docs/scheduler.md): each worker owns a private priority deque seeded by a
+// critical-path-aware partition of the initial ready set, a finishing
+// worker keeps its highest-priority newly-ready child to run directly and
+// queues the rest locally — no global lock on the happy path — while idle
+// workers steal batches from seeded-randomly probed victims and parked
+// workers are fed through a small global overflow queue. Dispatch is
+// cost-aware: every node carries a critical-path weight (its heaviest
 // downstream cost path, per dag.CriticalPath over the engine's history and
-// store estimates) and the highest weight dispatches first, so the run's
-// long pole starts as early as a worker frees up; Engine{Order: MinID}
-// restores the smallest-ID ordering for head-to-head benchmarks.
+// store estimates), re-weighted online as measured durations diverge from
+// the estimates, and the highest weight dispatches first, so the run's
+// long pole starts as early as a worker frees up.
 // Materialization runs off the critical path: each completed value is
 // handed to a bounded pool of background writers that decide, encode and
 // persist it while downstream consumers are already executing;
@@ -33,7 +31,7 @@
 // configured (Engine.Spill), a hot-budget rejection admits that encoding to
 // the cold tier instead of dropping it, loads fall back to cold and promote
 // (see docs/store.md) — still without ever re-encoding. The original wave
-// executor is retained as Engine{Sched: LevelBarrier}, the reference for
+// executor is retained as Engine{Sched: LevelBarrier}, the oracle for
 // equivalence tests and the scheduler benchmarks.
 //
 // The paper executes on Spark; here nodes run on goroutines and the
@@ -228,8 +226,14 @@ func (h *History) Save(path string) error {
 	return os.Rename(tmp, path)
 }
 
+// ErrCorruptHistory marks a history file that exists but does not parse —
+// a zero-length file left by a power loss, say. Callers that own the file
+// treat it as a cold start: the next Save rewrites it.
+var ErrCorruptHistory = errors.New("exec: corrupt history")
+
 // Load merges previously saved statistics into the history. A missing file
-// is not an error (first session); a corrupt file is.
+// is not an error (first session); a corrupt file is, wrapping
+// ErrCorruptHistory, and leaves the history unchanged.
 func (h *History) Load(path string) error {
 	raw, err := os.ReadFile(path)
 	if err != nil {
@@ -240,7 +244,7 @@ func (h *History) Load(path string) error {
 	}
 	var snap historySnapshot
 	if err := json.Unmarshal(raw, &snap); err != nil {
-		return fmt.Errorf("exec: parse history %s: %w", path, err)
+		return fmt.Errorf("%w %s: %w", ErrCorruptHistory, path, err)
 	}
 	h.mu.Lock()
 	defer h.mu.Unlock()
@@ -264,7 +268,7 @@ const (
 	// LevelBarrier is the original wave executor: nodes in the same DAG
 	// level run concurrently, a full barrier separates levels, and
 	// materialization runs synchronously inside the node's turn. Retained
-	// as the reference for equivalence tests and scheduler benchmarks.
+	// as the oracle for equivalence tests and scheduler benchmarks.
 	LevelBarrier
 )
 
@@ -276,64 +280,6 @@ func (s Strategy) String() string {
 		return "level-barrier"
 	default:
 		return fmt.Sprintf("Strategy(%d)", int(s))
-	}
-}
-
-// Ordering selects how the dataflow scheduler prioritizes simultaneously
-// ready nodes. It has no effect under LevelBarrier.
-type Ordering int
-
-const (
-	// CriticalPath dispatches the ready node with the largest critical-path
-	// weight first (heaviest downstream cost path, from dag.CriticalPath
-	// over per-node cost estimates: history compute times for compute
-	// nodes, store load estimates for load nodes, 1ns for never-seen
-	// nodes so structure decides before any cost is measured). Ties break
-	// on the smaller ID, so dispatch stays deterministic. The zero value,
-	// and the default.
-	CriticalPath Ordering = iota
-	// MinID dispatches the smallest ready ID first — the original ordering,
-	// retained for head-to-head scheduler benchmarks.
-	MinID
-)
-
-func (o Ordering) String() string {
-	switch o {
-	case CriticalPath:
-		return "critical-path"
-	case MinID:
-		return "min-id"
-	default:
-		return fmt.Sprintf("Ordering(%d)", int(o))
-	}
-}
-
-// DispatchMode selects how the dataflow scheduler hands ready nodes to its
-// worker pool. It has no effect under LevelBarrier.
-type DispatchMode int
-
-const (
-	// WorkSteal gives every worker a private priority deque: a finishing
-	// worker pushes newly-ready children onto its own deque (running the
-	// best one directly) with no global lock on the happy path, idle
-	// workers steal batches from seeded-randomly probed victims, and a
-	// small global overflow queue hands work to parked workers and carries
-	// shutdown/cancellation wakeups. The zero value, and the default.
-	WorkSteal DispatchMode = iota
-	// GlobalHeap is the previous dispatch loop — one shared ready heap
-	// behind one mutex — retained for A/B benchmarks: it is the contention
-	// baseline the work-stealing numbers are measured against.
-	GlobalHeap
-)
-
-func (m DispatchMode) String() string {
-	switch m {
-	case WorkSteal:
-		return "worksteal"
-	case GlobalHeap:
-		return "global-heap"
-	default:
-		return fmt.Sprintf("DispatchMode(%d)", int(m))
 	}
 }
 
@@ -356,25 +302,19 @@ type Engine struct {
 	// nodes not computed this run; nil disables both.
 	History *History
 	// Sched selects the scheduling strategy; the zero value is Dataflow.
+	// LevelBarrier is the equivalence oracle.
 	Sched Strategy
-	// Order selects the ready-queue priority of the dataflow scheduler;
-	// the zero value is CriticalPath.
-	Order Ordering
-	// Dispatch selects how the dataflow scheduler hands ready nodes to
-	// workers; the zero value is WorkSteal (per-worker deques, lock-light).
-	// GlobalHeap retains the single shared ready heap for A/B benchmarks.
-	Dispatch DispatchMode
 	// Faults is the engine's fault-tolerance policy: per-node attempt
 	// budget with exponential backoff for transient operator failures, and
 	// an optional per-attempt deadline. The zero value disables both (one
-	// attempt, no deadline). Applies to every scheduler and dispatcher, and
-	// to lineage recomputes after failed loads.
+	// attempt, no deadline). Applies to both schedulers, and to lineage
+	// recomputes after failed loads.
 	Faults FaultPolicy
 	// Reweight selects online re-prioritization of the remaining DAG as
 	// measured durations diverge from the estimates behind the initial
 	// critical-path weights; the zero value is Adaptive. ReweightOff pins
 	// the weights computed at the top of Execute for A/B benchmarks. Only
-	// meaningful under Dataflow scheduling with CriticalPath ordering.
+	// meaningful under Dataflow scheduling.
 	Reweight Reweight
 	// ReweightInterval overrides the minimum number of node completions
 	// between re-prioritization passes; <=0 selects the default (8, scaled

@@ -77,8 +77,8 @@ func TestBackoffZeroPolicyUsesDefaults(t *testing.T) {
 	}
 }
 
-// faultSchedulers enumerates every scheduler/dispatcher combination the
-// fault policy must behave identically under.
+// faultSchedulers enumerates every scheduler the fault policy must behave
+// identically under.
 func faultSchedulers() []struct {
 	name string
 	cfg  func(*Engine)
@@ -87,8 +87,7 @@ func faultSchedulers() []struct {
 		name string
 		cfg  func(*Engine)
 	}{
-		{"worksteal", func(e *Engine) { e.Sched = Dataflow; e.Dispatch = WorkSteal }},
-		{"globalheap", func(e *Engine) { e.Sched = Dataflow; e.Dispatch = GlobalHeap }},
+		{"worksteal", func(e *Engine) { e.Sched = Dataflow }},
 		{"levelbarrier", func(e *Engine) { e.Sched = LevelBarrier }},
 	}
 }

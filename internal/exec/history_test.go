@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"errors"
 	"os"
 	"path/filepath"
 	"testing"
@@ -41,8 +42,12 @@ func TestHistoryLoadCorruptFileErrors(t *testing.T) {
 	if err := os.WriteFile(path, []byte("{nope"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := NewHistory().Load(path); err == nil {
-		t.Error("corrupt history accepted")
+	err := NewHistory().Load(path)
+	if err == nil {
+		t.Fatal("corrupt history accepted")
+	}
+	if !errors.Is(err, ErrCorruptHistory) {
+		t.Errorf("corrupt history error %v does not wrap ErrCorruptHistory", err)
 	}
 }
 

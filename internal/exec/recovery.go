@@ -23,7 +23,7 @@ import (
 // ancestors the plan computes may be running concurrently (their slots are
 // plain, release may clear them, and waiting on them could deadlock a
 // single-worker run) — duplicating a little compute is the price of a
-// recovery that is race-free under every dispatcher and worker count.
+// recovery that is race-free under every scheduler and worker count.
 type recomputer struct {
 	e     *Engine
 	g     *dag.Graph

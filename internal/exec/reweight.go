@@ -11,8 +11,7 @@ import (
 // Reweight selects whether the dataflow scheduler re-prioritizes the
 // remaining DAG mid-run as measured durations diverge from the estimates
 // the initial critical-path weights were built from. It has an effect only
-// under critical-path ordering (MinID carries no weights to correct) and
-// the dataflow strategy.
+// under the dataflow strategy.
 type Reweight int
 
 const (
@@ -23,7 +22,7 @@ const (
 	// The zero value, and the default.
 	Adaptive Reweight = iota
 	// ReweightOff keeps the weights computed once at the top of Execute for
-	// the whole run — the PR-3 behaviour, retained for A/B benchmarks.
+	// the whole run, retained for the LiarDAG A/B benchmark.
 	ReweightOff
 )
 
@@ -115,11 +114,10 @@ type reweighter struct {
 	weights atomic.Pointer[[]int64]
 	epoch   atomic.Uint64
 
-	// resort is the dispatcher's eager sweep: re-sort every ready queue
-	// with the just-published weights. Queues missed by the sweep (or
-	// pushed to with a stale slice afterwards) catch up lazily through
-	// fix() on their next locked access.
-	resort func()
+	// ws is the dispatcher whose ready queues a pass re-sorts eagerly
+	// (wsDispatch.resort); nil only for reweighters driven directly by
+	// unit tests.
+	ws *wsDispatch
 }
 
 // newReweighter builds the re-prioritization state for one run. weight is
@@ -304,7 +302,7 @@ func (rw *reweighter) pass() {
 	rw.weights.Store(&w)
 	rw.epoch.Add(1)
 	rw.passes.Add(1)
-	if rw.resort != nil {
-		rw.resort()
+	if rw.ws != nil {
+		rw.ws.resort()
 	}
 }

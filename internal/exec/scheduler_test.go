@@ -364,8 +364,17 @@ func TestReleaseIntermediatesDiamond(t *testing.T) {
 }
 
 func TestStrategyString(t *testing.T) {
-	if Dataflow.String() != "dataflow" || LevelBarrier.String() != "level-barrier" {
-		t.Errorf("Strategy strings: %v %v", Dataflow, LevelBarrier)
+	for v, want := range map[fmt.Stringer]string{
+		Dataflow:     "dataflow",
+		LevelBarrier: "level-barrier",
+		Strategy(7):  "Strategy(7)",
+		Adaptive:     "adaptive",
+		ReweightOff:  "off",
+		Reweight(7):  "Reweight(7)",
+	} {
+		if got := v.String(); got != want {
+			t.Errorf("String() = %q, want %q", got, want)
+		}
 	}
 }
 

@@ -29,7 +29,7 @@ func (r *wsRand) next() uint64 {
 func (r *wsRand) intn(n int) int { return int(r.next() % uint64(n)) }
 
 // wsDeque is one worker's private ready queue: a priority heap (not a
-// classic ends-discipline deque — the intra-queue Ordering replaces the
+// classic ends-discipline deque — critical-path order replaces the
 // LIFO/FIFO split) guarded by its own mutex. The owner pushes and pops
 // under a lock that is uncontended unless a thief is probing it, which is
 // what makes the dispatch happy path lock-light: no global lock is touched
@@ -60,19 +60,19 @@ type wsTop struct {
 	_ [56]byte
 }
 
-// wsDispatch is the work-stealing dispatcher of the dataflow scheduler.
-// Scheduling state that the GlobalHeap baseline keeps under one mutex is
-// decomposed here: pending-parent and consumer reference counts are
-// atomics (many finishers decrement concurrently; exactly one observes the
-// zero-crossing), each worker owns a private priority deque, and a small
-// global overflow queue — sharing a mutex with the parking condition
-// variable — hands work to parked workers and carries shutdown and
-// cancellation wakeups. See docs/scheduler.md for the full protocol and
-// its memory-ordering argument.
+// wsDispatch is the dispatcher of the dataflow scheduler. Scheduling state
+// is decomposed so no global lock sits on the happy path: pending-parent
+// and consumer reference counts are atomics (many finishers decrement
+// concurrently; exactly one observes the zero-crossing), each worker owns
+// a private priority deque, and a small global overflow queue — sharing a
+// mutex with the parking condition variable — hands work to parked
+// workers and carries shutdown and cancellation wakeups. See
+// docs/scheduler.md for the full protocol and its memory-ordering
+// argument.
 type wsDispatch struct {
 	*runCtx
 
-	weight []int64 // critical-path priorities; nil selects min-ID
+	weight []int64 // initial critical-path priorities
 	deques []wsDeque
 	tops   []wsTop // published per-deque best weights (see wsTop)
 
@@ -125,25 +125,7 @@ func runWorkSteal(rc *runCtx, weight []int64, pending, consumers []int, remainin
 		d.tops[i].w.Store(wsTopEmpty)
 	}
 	if rc.rw != nil {
-		// Eager sweep of a re-prioritization pass: re-sort each deque and
-		// the overflow queue, one lock at a time (the pass holds no lock of
-		// its own, so the dispatch lock order is untouched). Queues the
-		// sweep misses — or that are pushed to with a stale slice after it
-		// passed — catch up lazily through fix() on their next locked
-		// access.
-		rc.rw.resort = func() {
-			for i := range d.deques {
-				dq := &d.deques[i]
-				dq.mu.Lock()
-				rc.rw.fix(&dq.h)
-				d.publishTop(i, &dq.h)
-				dq.mu.Unlock()
-			}
-			d.parkMu.Lock()
-			rc.rw.fix(&d.overflow)
-			d.publishOverflowLocked()
-			d.parkMu.Unlock()
-		}
+		rc.rw.ws = d
 	}
 	d.pending = make([]atomic.Int32, len(pending))
 	for i, p := range pending {
@@ -183,6 +165,26 @@ func runWorkSteal(rc *runCtx, weight []int64, pending, consumers []int, remainin
 	rc.res.Handoffs = d.handoffs.Load()
 	rc.res.AffinityKeeps = d.affinityKeeps.Load()
 	return d.errs
+}
+
+// resort is the eager sweep of a re-prioritization pass: re-sort each deque
+// and the overflow queue with the just-published weights, one lock at a
+// time (the pass holds no lock of its own, so the dispatch lock order is
+// untouched). Queues the sweep misses — or that are pushed to with a stale
+// slice after it passed — catch up lazily through fix() on their next
+// locked access.
+func (d *wsDispatch) resort() {
+	for i := range d.deques {
+		dq := &d.deques[i]
+		dq.mu.Lock()
+		d.rw.fix(&dq.h)
+		d.publishTop(i, &dq.h)
+		dq.mu.Unlock()
+	}
+	d.parkMu.Lock()
+	d.rw.fix(&d.overflow)
+	d.publishOverflowLocked()
+	d.parkMu.Unlock()
 }
 
 // work is one worker's loop: acquire a node (own deque, overflow, then
@@ -321,11 +323,10 @@ func pickBest(weight []int64, ready []dag.NodeID) (dag.NodeID, []dag.NodeID) {
 // reached their first popLocal — and the overflow-empty gate keeps
 // steady-state chase loops (all deques drained, every finish chasing its
 // own child) from paying the global handoff lock for work their own
-// chase would consume anyway. Min-ID ordering publishes no tops and keeps
-// the waiters-only estimate.
+// chase would consume anyway.
 func (d *wsDispatch) idleConsumers(w int) int {
 	nw := int(d.waiters.Load())
-	if d.weight == nil || d.overflowTop.Load() != wsTopEmpty {
+	if d.overflowTop.Load() != wsTopEmpty {
 		return nw
 	}
 	empty := 0
@@ -445,11 +446,8 @@ func (d *wsDispatch) releasable(id dag.NodeID) []dag.NodeID {
 
 // publishTop publishes deque w's current best weight for the stranding
 // consult. Callers hold the deque's mutex (or are in single-threaded
-// setup). A no-op under min-ID ordering, which has no weights to compare.
+// setup).
 func (d *wsDispatch) publishTop(w int, h *nodeHeap) {
-	if d.weight == nil {
-		return
-	}
 	top := wsTopEmpty
 	if h.Len() > 0 {
 		top = h.weight[h.ids[0]]
@@ -458,11 +456,8 @@ func (d *wsDispatch) publishTop(w int, h *nodeHeap) {
 }
 
 // publishOverflowLocked publishes the overflow queue's current best weight.
-// Callers hold parkMu. A no-op under min-ID ordering.
+// Callers hold parkMu.
 func (d *wsDispatch) publishOverflowLocked() {
-	if d.weight == nil {
-		return
-	}
 	top := wsTopEmpty
 	if d.overflow.Len() > 0 {
 		top = d.overflow.weight[d.overflow.ids[0]]
@@ -470,32 +465,15 @@ func (d *wsDispatch) publishOverflowLocked() {
 	d.overflowTop.Store(top)
 }
 
-// globalBest returns the best published weight over every other deque and
-// the overflow queue — the stranding consult's lock-free approximation of
-// the most urgent runnable work elsewhere. wsTopEmpty when nothing is
-// published.
-func (d *wsDispatch) globalBest(w int) int64 {
-	best := d.overflowTop.Load()
-	for i := range d.tops {
-		if i == w {
-			continue
-		}
-		if t := d.tops[i].w.Load(); t > best {
-			best = t
-		}
-	}
-	return best
-}
-
-// bestVictim returns the other deque publishing the highest top weight, or
-// -1 when none publishes real work (or the overflow queue outranks them
-// all — the caller has already drained it). A stranded worker steals from
-// this deque first: the consult declined the local top because something
-// globally urgent is runnable elsewhere, and a random probe would more
-// likely land on a deque full of exactly the low-priority work it just
-// declined.
-func (d *wsDispatch) bestVictim(w int) int {
-	best, victim := d.overflowTop.Load(), -1
+// globalBest scans the published tops of every other deque and the
+// overflow queue — a lock-free approximation of the most urgent runnable
+// work elsewhere. It returns the best weight (wsTopEmpty when nothing is
+// published), which the stranding consult compares against the local top,
+// and the deque publishing it (-1 when no deque publishes real work or the
+// overflow queue outranks them all — callers drain that first), which
+// thieves probe first.
+func (d *wsDispatch) globalBest(w int) (best int64, victim int) {
+	best, victim = d.overflowTop.Load(), -1
 	for i := range d.tops {
 		if i == w {
 			continue
@@ -504,7 +482,7 @@ func (d *wsDispatch) bestVictim(w int) int {
 			best, victim = t, i
 		}
 	}
-	return victim
+	return best, victim
 }
 
 // next acquires the worker's next node: own deque first, then the overflow
@@ -534,14 +512,13 @@ func (d *wsDispatch) next(w int, rng *wsRand) (dag.NodeID, bool) {
 		if id, ok := d.popOverflow(); ok {
 			return id, true
 		}
-		prefer := -1
-		if stranded {
-			// Steal from the deque whose published top triggered the
-			// consult: the whole point of declining the local node was to
-			// run the globally urgent one.
-			prefer = d.bestVictim(w)
-		}
-		if id, ok := d.stealBatch(w, rng, prefer); ok {
+		// Steal from the deque publishing the globally best top: a
+		// stranded worker declined its local node to run exactly that,
+		// and an idle one exists to run the most urgent work — a random
+		// victim would too often hold only the low-priority nodes the
+		// consult exists to keep back.
+		_, victim := d.globalBest(w)
+		if id, ok := d.stealBatch(w, rng, victim); ok {
 			return id, true
 		}
 		if stranded {
@@ -568,8 +545,8 @@ func (d *wsDispatch) popLocal(w int, force bool) (id dag.NodeID, ok, stranded bo
 		return 0, false, false
 	}
 	d.fix(&dq.h)
-	if !force && d.weight != nil {
-		if tw := dq.h.weight[dq.h.ids[0]]; d.globalBest(w) > 2*tw {
+	if !force {
+		if best, _ := d.globalBest(w); best > 2*dq.h.weight[dq.h.ids[0]] {
 			return 0, false, true
 		}
 	}
@@ -582,7 +559,7 @@ func (d *wsDispatch) popLocal(w int, force bool) (id dag.NodeID, ok, stranded bo
 // queue. The cross-worker transfer was already counted (Result.Handoffs)
 // when dispatchRest enqueued it.
 func (d *wsDispatch) popOverflow() (dag.NodeID, bool) {
-	if d.weight != nil && d.overflowTop.Load() == wsTopEmpty {
+	if d.overflowTop.Load() == wsTopEmpty {
 		return 0, false // published-empty fast path; skip the global lock
 	}
 	d.parkMu.Lock()
@@ -602,11 +579,11 @@ func (d *wsDispatch) popOverflow() (dag.NodeID, bool) {
 // urgent runnable work, so the thief takes the victim's best (the
 // heaviest critical path moves to a free worker immediately) and the
 // batch amortizes the lock traffic over several nodes instead of coming
-// back for every one. A stranded thief passes the deque that published
-// the weight its consult declined for as prefer (-1 for none): that deque
-// is probed first, so the targeted steal takes the urgent node instead of
-// whatever a random victim happens to hold. Returns the best stolen node;
-// the remainder lands on the thief's own deque.
+// back for every one. The thief passes the deque publishing the globally
+// best top as prefer (-1 for none): that deque is probed first, so the
+// targeted steal takes the urgent node instead of whatever a random victim
+// happens to hold. Returns the best stolen node; the remainder lands on
+// the thief's own deque.
 func (d *wsDispatch) stealBatch(w int, rng *wsRand, prefer int) (dag.NodeID, bool) {
 	n := len(d.deques)
 	if n < 2 {

@@ -3,10 +3,13 @@ package serve
 import (
 	"context"
 	"fmt"
+	"os"
+	"path/filepath"
 	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/exec"
 	"repro/internal/store"
 )
 
@@ -263,5 +266,34 @@ func shutdown(t *testing.T, svc *Service) {
 	defer cancel()
 	if err := svc.Shutdown(ctx); err != nil {
 		t.Fatalf("shutdown: %v", err)
+	}
+}
+
+// TestNewCorruptHistoryColdStarts: a zero-length or garbage history file
+// must not keep the daemon from booting. The service cold-starts, serves a
+// submission, and Shutdown rewrites a parseable history.
+func TestNewCorruptHistoryColdStarts(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		body []byte
+	}{
+		{"zero-length", nil},
+		{"garbage", []byte("{nope")},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			path := filepath.Join(dir, "helix-history.json")
+			if err := os.WriteFile(path, tc.body, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			svc := newTestService(t, Config{Dir: dir})
+			if _, apiErr := svc.Submit(context.Background(), &SubmitRequest{Tenant: "ann", App: "census"}); apiErr != nil {
+				t.Fatal(apiErr)
+			}
+			shutdown(t, svc)
+			if err := exec.NewHistory().Load(path); err != nil {
+				t.Errorf("history not rewritten by Shutdown: %v", err)
+			}
+		})
 	}
 }

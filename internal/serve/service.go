@@ -4,6 +4,7 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
+	"errors"
 	"fmt"
 	"path/filepath"
 	"sort"
@@ -49,10 +50,6 @@ type Config struct {
 	// sizing unset (defaults 2000 rows, seed 2018).
 	DefaultRows int
 	DefaultSeed int64
-	// Dispatch selects every run's dispatch mode (zero = work-stealing;
-	// exec.GlobalHeap for the A/B reference — the loadgen benchmark
-	// measures the daemon under both).
-	Dispatch exec.DispatchMode
 }
 
 // Service is the daemon core: the shared tiered store, the shared runtime
@@ -151,8 +148,10 @@ func New(cfg Config) (*Service, error) {
 			return nil, err
 		}
 	}
+	// A corrupt history is a cold start, not a boot failure: the daemon
+	// runs with no estimates and Shutdown's Save rewrites the file.
 	history := exec.NewHistory()
-	if err := history.Load(filepath.Join(cfg.Dir, "helix-history.json")); err != nil {
+	if err := history.Load(filepath.Join(cfg.Dir, "helix-history.json")); err != nil && !errors.Is(err, exec.ErrCorruptHistory) {
 		return nil, err
 	}
 	ctx, cancel := context.WithCancel(context.Background())
@@ -196,7 +195,6 @@ func (s *Service) Submit(ctx context.Context, req *SubmitRequest) (*SubmitRespon
 	o.SharedHistory = s.history
 	o.Tenant = req.Tenant
 	o.Workers = s.cfg.Workers
-	o.Dispatch = s.cfg.Dispatch
 
 	// Fast-path budget refusal before the submission ever queues.
 	if apiErr := s.overBudget(req.Tenant); apiErr != nil {
