@@ -3,6 +3,7 @@ package bench
 import (
 	"context"
 	"reflect"
+	"runtime"
 	"testing"
 	"time"
 
@@ -58,6 +59,52 @@ func TestSchedShapesEquivalentAcrossStrategies(t *testing.T) {
 		if err := SchedValuesEqual(df, lb); err != nil {
 			t.Errorf("%s: %v", sd.Name, err)
 		}
+	}
+}
+
+// bestWall is the fastest of n runs of the shape under the strategy.
+func bestWall(t *testing.T, sd *SchedDAG, sched exec.Strategy, n int) time.Duration {
+	t.Helper()
+	best := time.Duration(1<<62 - 1)
+	for i := 0; i < n; i++ {
+		res, err := RunSched(sd, sched, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Wall < best {
+			best = res.Wall
+		}
+	}
+	return best
+}
+
+// TestFanoutChainCriticalPathBeatsMinID: on the fanout-chain shape the
+// chain carries the highest IDs, so an ordering that drains the cheap
+// branches first pays short/workers + depth task-lengths. The level-barrier
+// executor pays the same makespan (every branch sits in the chain head's
+// level), which makes it the reference; critical-path dataflow starts the
+// chain at once and must be measurably faster.
+func TestFanoutChainCriticalPathBeatsMinID(t *testing.T) {
+	sd := FanoutChainDAG(12, 6, time.Millisecond)
+	cp := bestWall(t, sd, exec.Dataflow, 5)
+	lb := bestWall(t, sd, exec.LevelBarrier, 5)
+	if float64(cp) > 0.9*float64(lb) {
+		t.Errorf("critical-path %v not measurably faster than branch-first level-barrier %v on fanout-chain", cp, lb)
+	}
+}
+
+// TestCPUFanoutCriticalPathNotSlower: with spin-loop tasks the ordering win
+// needs spare cores, but critical-path dataflow must never be slower than
+// the branch-first level-barrier order beyond noise.
+func TestCPUFanoutCriticalPathNotSlower(t *testing.T) {
+	sd := CPUFanoutDAG(12, 6, 500*time.Microsecond)
+	cp := bestWall(t, sd, exec.Dataflow, 3)
+	lb := bestWall(t, sd, exec.LevelBarrier, 3)
+	if float64(cp) > 1.25*float64(lb) {
+		t.Errorf("critical-path %v slower than level-barrier %v beyond noise on cpu-fanout", cp, lb)
+	}
+	if runtime.NumCPU() >= 4 && float64(cp) > 0.95*float64(lb) {
+		t.Logf("note: %d cores available but critical-path %v did not beat level-barrier %v", runtime.NumCPU(), cp, lb)
 	}
 }
 
